@@ -1,13 +1,13 @@
 // Multi-user arena: shared-spectrum coordination under reflector scarcity.
 //
 // The acceptance harness for src/arena/ (DESIGN.md §12). Each seed builds
-// one shared world: an 8x8 m room with four corner APs and three
-// wall-mounted reflectors; N users attach round-robin to the APs, wander
-// their own quadrant, raise hands on staggered periods, and share two
-// diagonal person-crossings that black out several users' direct paths at
-// once — the reflector demand spike the arbitration exists for. The world
-// is a pure function of (seed, user index); the two arms differ only in
-// the arbiter policy:
+// one shared world (bench/arena_world.hpp): an 8x8 m room with four
+// corner APs and four wall-mounted reflectors; N users attach round-robin
+// to the APs, wander their own quadrant, raise hands on staggered periods,
+// and share two diagonal person-crossings that black out several users'
+// direct paths at once — the reflector demand spike the arbitration exists
+// for. The world is a pure function of (seed, user index); the two arms
+// differ only in the arbiter policy:
 //
 //   arbitration  priority aging: leases expire, waiters age, aged waiters
 //                revoke expired leases (starvation-free time sharing)
@@ -36,141 +36,34 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <arena/coordinator.hpp>
 #include <core/parallel_for.hpp>
-#include <log/recorder.hpp>
-#include <sim/rng.hpp>
-#include <vr/session.hpp>
 
-#include "bench_util.hpp"
+#include "arena_world.hpp"
 
 namespace {
 
 using namespace movr;
-using geom::deg_to_rad;
+using bench::arena_scene;
+using bench::motion_factory;
+using bench::script_factory;
 
 enum class Arm { kArbitration, kFcfs };
 constexpr const char* kArmNames[] = {"arbitration", "fcfs"};
 constexpr int kArms = 2;
 
-constexpr geom::Vec2 kApPositions[4] = {
-    {0.4, 0.4}, {7.6, 0.4}, {7.6, 7.6}, {0.4, 7.6}};
-constexpr double kApOrientationsDeg[4] = {45.0, 135.0, 225.0, 315.0};
-constexpr geom::Vec2 kCenter{4.0, 4.0};
-
-double uniform(std::mt19937_64& g, double lo, double hi) {
-  return std::uniform_real_distribution<double>{lo, hi}(g);
-}
-
-/// The shared room: 8x8 m, empty floor (blockage comes from the scripts),
-/// one reflector at each wall midpoint facing into the room — every
-/// quadrant has usable via geometry, so a granted lease is actual relief
-/// and the arms differ by allocation policy, not by which quadrant got
-/// lucky. The AP/headset here are prototypes — the coordinator moves each
-/// user's clone's AP to its corner and the motion factory places the
-/// headset.
-core::Scene arena_scene() {
-  channel::Room room{8.0, 8.0};
-  core::ApRadio ap{kApPositions[0], deg_to_rad(kApOrientationsDeg[0])};
-  core::HeadsetRadio headset{kCenter, 0.0};
-  core::Scene scene{std::move(room), std::move(ap), std::move(headset)};
-  scene.add_reflector({4.0, 7.7}, deg_to_rad(265.0));
-  scene.add_reflector({7.7, 4.0}, deg_to_rad(175.0));
-  scene.add_reflector({0.3, 4.0}, deg_to_rad(355.0));
-  scene.add_reflector({4.0, 0.3}, deg_to_rad(85.0));
-  return scene;
-}
-
+/// The shared arena world under the given arm's arbiter policy.
 arena::Coordinator::Config make_config(std::size_t users, Arm arm,
                                        std::uint64_t seed,
                                        double duration_s) {
-  arena::Coordinator::Config config;
-  config.users = users;
-  config.seed = seed;
-  config.ap_positions.assign(std::begin(kApPositions),
-                             std::end(kApPositions));
-  for (const double deg : kApOrientationsDeg) {
-    config.ap_orientations.push_back(deg_to_rad(deg));
+  auto config = bench::arena_config(users, seed, duration_s);
+  if (arm == Arm::kFcfs) {
+    config.arbiter.policy = arena::ReflectorArbiter::Policy::kFcfs;
   }
-  config.arbiter.policy = arm == Arm::kFcfs
-                              ? arena::ReflectorArbiter::Policy::kFcfs
-                              : arena::ReflectorArbiter::Policy::kPriorityAging;
-  // Short terms + fast aging: hand raises block each user for ~0.7 s at a
-  // ~29% duty cycle, so reflector demand exceeds supply chronically. A
-  // waiter must out-age the holder bonus well inside one raise for the
-  // rotation to reach it before its blockage ends.
-  config.arbiter.lease_duration = std::chrono::milliseconds{250};
-  config.arbiter.aging_per_second = 4.0;
-  // Eviction is for persistent burners only: a hand raise collapses a
-  // user's PHY rate for ~0.7 s, so give a degraded user 2 s to recover
-  // before it can be escalated out of the room (both arms).
-  config.admission.evict_grace = std::chrono::seconds{2};
-  // Both arms skip via-occluded handover candidates: leasing a reflector
-  // whose hop a person is standing in burns the Bluetooth wait AND locks
-  // out whoever that reflector could actually serve.
-  config.link.skip_occluded_candidates = true;
-  config.session.duration = sim::from_seconds(duration_s);
-  // Compressed stream sized so four users on one AP (the 16-user cell,
-  // airtime share 0.25) still fit one link's shared capacity: glitches at
-  // the gate point come from blockage and reflector contention, not
-  // raw-bitrate saturation. At 32 users (share 0.125) the load does
-  // oversubscribe and admission has to shed — that is the stress cell.
-  net::TransportConfig transport;
-  transport.source.target_mbps = 300.0;
-  config.session.transport = transport;
   return config;
-}
-
-/// Each user starts in its own AP's quadrant (seeded jitter) and wanders
-/// from there — close enough for a solid direct link, spread enough that
-/// the diagonal crossings shadow several users at once.
-arena::Coordinator::MotionFactory motion_factory(std::uint64_t seed) {
-  return [seed](std::size_t u,
-                const core::Scene& scene) -> std::unique_ptr<vr::Motion> {
-    const sim::RngRegistry rngs{seed};
-    auto rng = rngs.stream("arena.pos", u);
-    const geom::Vec2 ap = kApPositions[u % 4];
-    const geom::Vec2 toward = (kCenter - ap).normalized();
-    const geom::Vec2 perp{-toward.y, toward.x};
-    geom::Vec2 start = ap + toward * uniform(rng, 1.8, 3.2) +
-                       perp * uniform(rng, -1.1, 1.1);
-    start.x = std::clamp(start.x, 0.9, 7.1);
-    start.y = std::clamp(start.y, 0.9, 7.1);
-    return std::make_unique<vr::PlayerMotion>(
-        scene.room(), start, rngs.stream("arena.motion", u)());
-  };
-}
-
-/// Staggered per-user hand raises plus two shared diagonal crossings per
-/// ~5 s — the crossings put many users' direct paths in shadow in the same
-/// window, which is exactly when they all want a reflector.
-arena::Coordinator::ScriptFactory script_factory(double duration_s) {
-  return [duration_s](std::size_t u) {
-    const sim::TimePoint end{sim::from_seconds(duration_s)};
-    std::vector<vr::BlockageEvent> events =
-        vr::periodic_hand_raises(
-            sim::TimePoint{sim::from_seconds(
-                0.8 + 0.21 * static_cast<double>(u % 7))},
-            sim::from_seconds(0.7), sim::from_seconds(2.4), end)
-            .events();
-    bool flip = false;
-    for (double t = 2.0; t + 2.5 < duration_s; t += 5.0) {
-      vr::BlockageEvent person;
-      person.kind = vr::BlockageEvent::Kind::kPersonCrossing;
-      person.start = sim::TimePoint{sim::from_seconds(t)};
-      person.duration = sim::from_seconds(2.5);
-      person.path_from = flip ? geom::Vec2{7.4, 0.6} : geom::Vec2{0.6, 0.6};
-      person.path_to = flip ? geom::Vec2{0.6, 7.4} : geom::Vec2{7.4, 7.4};
-      flip = !flip;
-      events.push_back(person);
-    }
-    return vr::BlockageScript{std::move(events)};
-  };
 }
 
 /// Aggregates of one (users, arm, seed) coordinator run.
@@ -263,54 +156,30 @@ IdentityResult run_identity(std::uint64_t seed, double duration_s) {
 /// log_verify applies the chain + ledger-closure checks to them.
 int run_event_log(std::size_t users, std::uint64_t seed, double duration_s,
                   const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "cannot create --event-log dir %s: %s\n",
-                 dir.c_str(), ec.message().c_str());
+  if (!bench::make_dir(dir)) {
     return 2;
   }
   const core::Scene prototype = arena_scene();
   sim::Simulator simulator;
   auto config = make_config(users, Arm::kArbitration, seed, duration_s);
-  log::Recorder::Config coordinator_log_config;
-  coordinator_log_config.path = dir + "/coordinator.log";
-  coordinator_log_config.bench = "arena";
-  coordinator_log_config.seed = seed;
-  log::Recorder coordinator_log{std::move(coordinator_log_config)};
-  coordinator_log.bind_clock(&simulator);
-  std::vector<std::unique_ptr<log::Recorder>> user_logs;
-  for (std::size_t u = 0; u < users; ++u) {
-    log::Recorder::Config user_log_config;
-    user_log_config.path = dir + "/user" + std::to_string(u) + ".log";
-    user_log_config.bench = "arena";
-    user_log_config.seed = seed;
-    user_logs.push_back(
-        std::make_unique<log::Recorder>(std::move(user_log_config)));
-    user_logs.back()->bind_clock(&simulator);
-  }
-  config.recorder = &coordinator_log;
-  config.user_recorder = [&user_logs](std::size_t u) {
-    return user_logs[u].get();
-  };
+  bench::LogSinks sinks =
+      bench::make_sinks(dir, "", "arena", users, seed, simulator);
+  sinks.attach(config);
   arena::Coordinator coordinator{simulator, prototype, config,
                                  motion_factory(seed),
                                  script_factory(duration_s)};
   const auto results = coordinator.run();
-  coordinator_log.close();
-  for (const auto& user_log : user_logs) {
-    user_log->close();
-  }
+  sinks.close();
   std::printf("event logs: %s/coordinator.log (%llu records) + %zu user "
               "streams\n",
               dir.c_str(),
-              static_cast<unsigned long long>(coordinator_log.records()),
-              user_logs.size());
+              static_cast<unsigned long long>(sinks.coordinator->records()),
+              sinks.users.size());
   for (std::size_t u = 0; u < results.size(); ++u) {
     std::printf("  user%zu: %6.2f%% glitched, %llu records, fingerprint "
                 "%s\n",
                 u, 100.0 * results[u].report.glitch_fraction(),
-                static_cast<unsigned long long>(user_logs[u]->records()),
+                static_cast<unsigned long long>(sinks.users[u]->records()),
                 bench::fingerprint_hex(
                     arena::qoe_fingerprint(results[u].report))
                     .c_str());
@@ -389,16 +258,9 @@ int main(int argc, char** argv) {
   std::string event_log_dir;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      user_counts.clear();
-      for (const char* p = argv[++i]; *p != '\0';) {
-        char* endp = nullptr;
-        const unsigned long v = std::strtoul(p, &endp, 10);
-        if (endp == p || v == 0) {
-          std::fprintf(stderr, "bad --users list\n");
-          return 2;
-        }
-        user_counts.push_back(static_cast<std::size_t>(v));
-        p = *endp == ',' ? endp + 1 : endp;
+      if (!bench::parse_users(argv[++i], user_counts)) {
+        std::fprintf(stderr, "bad --users list\n");
+        return 2;
       }
     } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
       seeds = std::atoi(argv[++i]);
@@ -430,14 +292,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::uint64_t> seed_list;
-  if (have_single_seed) {
-    seed_list.push_back(single_seed);
-  } else {
-    for (int s = 1; s <= seeds; ++s) {
-      seed_list.push_back(static_cast<std::uint64_t>(s));
-    }
-  }
+  const std::vector<std::uint64_t> seed_list =
+      bench::seed_list(have_single_seed, single_seed, seeds);
 
   if (!event_log_dir.empty()) {
     const std::size_t users = user_counts.empty() ? 2 : user_counts.front();

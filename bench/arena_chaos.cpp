@@ -14,9 +14,10 @@
 //
 //   ledgers    every user's per-20 ms packet-ledger audit closes at every
 //              check (extended ledger, speculative buckets included)
-//   liveness   no 20 ms probe ever sees a lease surviving on a quarantined
-//              reflector past the revocation grace (the live twin of
-//              log_verify's offline invariant F)
+//   liveness   every run's coordinator event log, recorded in memory,
+//              passes log::verify_log — invariant F: no lease survives on
+//              a quarantined reflector past the revocation grace — and
+//              carries a lease snapshot per reflector per control tick
 //   isolation  users sharing NO faulted resource (never arbitrated for a
 //              faulted reflector in either run, not on a browned-out AP)
 //              stay within an interference epsilon of their fault-free
@@ -25,13 +26,13 @@
 //              applied, devices quarantined AND restored, at least one
 //              holder displaced by failover, zero orphaned leases)
 //
-// With --event-log DIR every cell also records coordinator + per-user
-// event streams, each re-verified offline in-process (chain + invariants
-// A-G); CI re-runs tools/log_verify on the same files. The
-// --disable-failover tripwire inverts the contract: it runs one cell with
-// failover OFF, expects the coordinator log to FAIL offline verification
-// at a lease-liveness record, and exits nonzero if the verifier does NOT
-// catch it.
+// With --event-log DIR one cell per scenario also records per-user
+// streams and writes every stream to disk, each verified in-process
+// (chain + invariants A-G); CI re-runs tools/log_verify on the same files.
+// The --disable-failover tripwire inverts the contract: it runs one cell
+// with failover OFF, expects the coordinator log to FAIL offline
+// verification at a lease-liveness record, and exits nonzero if the
+// verifier does NOT catch it.
 //
 // Usage: arena_chaos [--users LIST] [--seeds N] [--seed S]
 //                    [--duration SECONDS] [--threads N] [--json PATH]
@@ -42,30 +43,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <arena/coordinator.hpp>
 #include <core/parallel_for.hpp>
 #include <log/reader.hpp>
-#include <log/recorder.hpp>
 #include <log/verify.hpp>
-#include <sim/rng.hpp>
-#include <vr/session.hpp>
 
-#include "bench_util.hpp"
+#include "arena_world.hpp"
 
 namespace {
 
 using namespace movr;
-using geom::deg_to_rad;
-
-constexpr geom::Vec2 kApPositions[4] = {
-    {0.4, 0.4}, {7.6, 0.4}, {7.6, 7.6}, {0.4, 7.6}};
-constexpr double kApOrientationsDeg[4] = {45.0, 135.0, 225.0, 315.0};
-constexpr geom::Vec2 kCenter{4.0, 4.0};
 
 /// Isolation epsilon: a non-blast user's cumulative deadline misses may
 /// exceed its fault-free trajectory by at most abs + frac * frames at any
@@ -78,25 +68,6 @@ constexpr double kIsolationAbs = 12.0;
 constexpr double kIsolationFrac = 0.02;
 
 constexpr auto kProbeInterval = std::chrono::milliseconds{20};
-
-double uniform(std::mt19937_64& g, double lo, double hi) {
-  return std::uniform_real_distribution<double>{lo, hi}(g);
-}
-
-/// Same shared room as bench/arena: 8x8 m, four corner APs, one reflector
-/// at each wall midpoint — so chaos results are comparable with the
-/// fault-free arena sweep.
-core::Scene arena_scene() {
-  channel::Room room{8.0, 8.0};
-  core::ApRadio ap{kApPositions[0], deg_to_rad(kApOrientationsDeg[0])};
-  core::HeadsetRadio headset{kCenter, 0.0};
-  core::Scene scene{std::move(room), std::move(ap), std::move(headset)};
-  scene.add_reflector({4.0, 7.7}, deg_to_rad(265.0));
-  scene.add_reflector({7.7, 4.0}, deg_to_rad(175.0));
-  scene.add_reflector({0.3, 4.0}, deg_to_rad(355.0));
-  scene.add_reflector({4.0, 0.3}, deg_to_rad(85.0));
-  return scene;
-}
 
 /// One named fault scenario plus the resources it faults (for blast-set
 /// classification).
@@ -153,76 +124,14 @@ std::vector<Scenario> scenarios() {
   return out;
 }
 
-arena::Coordinator::Config make_config(std::size_t users, std::uint64_t seed,
-                                       double duration_s) {
-  arena::Coordinator::Config config;
-  config.users = users;
-  config.seed = seed;
-  config.ap_positions.assign(std::begin(kApPositions),
-                             std::end(kApPositions));
-  for (const double deg : kApOrientationsDeg) {
-    config.ap_orientations.push_back(deg_to_rad(deg));
-  }
-  // Same contention tuning as bench/arena's arbitration arm.
-  config.arbiter.lease_duration = std::chrono::milliseconds{250};
-  config.arbiter.aging_per_second = 4.0;
-  config.admission.evict_grace = std::chrono::seconds{2};
-  config.link.skip_occluded_candidates = true;
-  config.session.duration = sim::from_seconds(duration_s);
-  net::TransportConfig transport;
-  transport.source.target_mbps = 300.0;
-  config.session.transport = transport;
-  return config;
-}
-
-arena::Coordinator::MotionFactory motion_factory(std::uint64_t seed) {
-  return [seed](std::size_t u,
-                const core::Scene& scene) -> std::unique_ptr<vr::Motion> {
-    const sim::RngRegistry rngs{seed};
-    auto rng = rngs.stream("arena.pos", u);
-    const geom::Vec2 ap = kApPositions[u % 4];
-    const geom::Vec2 toward = (kCenter - ap).normalized();
-    const geom::Vec2 perp{-toward.y, toward.x};
-    geom::Vec2 start = ap + toward * uniform(rng, 1.8, 3.2) +
-                       perp * uniform(rng, -1.1, 1.1);
-    start.x = std::clamp(start.x, 0.9, 7.1);
-    start.y = std::clamp(start.y, 0.9, 7.1);
-    return std::make_unique<vr::PlayerMotion>(
-        scene.room(), start, rngs.stream("arena.motion", u)());
-  };
-}
-
-arena::Coordinator::ScriptFactory script_factory(double duration_s) {
-  return [duration_s](std::size_t u) {
-    const sim::TimePoint end{sim::from_seconds(duration_s)};
-    std::vector<vr::BlockageEvent> events =
-        vr::periodic_hand_raises(
-            sim::TimePoint{sim::from_seconds(
-                0.8 + 0.21 * static_cast<double>(u % 7))},
-            sim::from_seconds(0.7), sim::from_seconds(2.4), end)
-            .events();
-    bool flip = false;
-    for (double t = 2.0; t + 2.5 < duration_s; t += 5.0) {
-      vr::BlockageEvent person;
-      person.kind = vr::BlockageEvent::Kind::kPersonCrossing;
-      person.start = sim::TimePoint{sim::from_seconds(t)};
-      person.duration = sim::from_seconds(2.5);
-      person.path_from = flip ? geom::Vec2{7.4, 0.6} : geom::Vec2{0.6, 0.6};
-      person.path_to = flip ? geom::Vec2{0.6, 7.4} : geom::Vec2{7.4, 7.4};
-      flip = !flip;
-      events.push_back(person);
-    }
-    return vr::BlockageScript{std::move(events)};
-  };
-}
-
 /// Per-user cumulative (misses, frames) sampled every 20 ms.
 struct Trajectory {
   std::vector<std::uint64_t> misses;
   std::vector<std::uint64_t> frames;
 };
 
-/// One coordinator run (faulted or reference) with live probes attached.
+/// One coordinator run (faulted or reference) with live probes attached
+/// and its event log verified.
 struct RunOutcome {
   std::vector<Trajectory> trajectories;       // one per user
   /// [user] shares a faulted reflector: fault-degraded at any probe, held
@@ -254,9 +163,14 @@ struct RunOutcome {
   std::vector<double> glitch_fractions;       // one per user
   std::uint64_t ledger_checks{0};
   std::uint64_t ledger_violations{0};
-  std::uint64_t lease_liveness_violations{0};  // live 20 ms probe
+  /// log::verify_log's verdict on the run's coordinator stream; its
+  /// invariant issues are lease-liveness (F) violations.
+  log::VerifyReport coordinator_log;
+  /// One message per stream that failed verification, or whose verdict
+  /// is too thin to prove lease liveness.
+  std::vector<std::string> log_failures;
+  std::uint64_t logs_verified{0};  // streams that verified clean
   arena::Coordinator::ChaosStats chaos;
-  std::uint64_t denials{0};
   std::uint64_t quarantine_denials{0};
   std::uint64_t fast_tracks{0};
   std::uint64_t stale_reservations{0};
@@ -265,63 +179,49 @@ struct RunOutcome {
 
 constexpr std::uint32_t kNoHolder = 0xffffffffu;
 
-void fingerprint_mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
-
-struct LogSinks {
-  std::unique_ptr<log::Recorder> coordinator;
-  std::vector<std::unique_ptr<log::Recorder>> users;
-  std::string coordinator_path;
-  std::vector<std::string> user_paths;
-};
-
-LogSinks make_sinks(const std::string& dir, const std::string& stem,
-                    std::size_t users, std::uint64_t seed,
-                    sim::Simulator& simulator) {
-  LogSinks sinks;
-  sinks.coordinator_path = dir + "/" + stem + ".coordinator.log";
-  log::Recorder::Config coord;
-  coord.path = sinks.coordinator_path;
-  coord.bench = "arena_chaos";
-  coord.seed = seed;
-  sinks.coordinator = std::make_unique<log::Recorder>(std::move(coord));
-  sinks.coordinator->bind_clock(&simulator);
-  for (std::size_t u = 0; u < users; ++u) {
-    log::Recorder::Config user;
-    sinks.user_paths.push_back(dir + "/" + stem + ".user" +
-                               std::to_string(u) + ".log");
-    user.path = sinks.user_paths.back();
-    user.bench = "arena_chaos";
-    user.seed = seed;
-    sinks.users.push_back(std::make_unique<log::Recorder>(std::move(user)));
-    sinks.users.back()->bind_clock(&simulator);
+/// Verifies one recorded stream from its in-memory bytes; a stream that
+/// does not verify adds a message naming its first bad records.
+log::VerifyReport verify_stream(const log::Recorder& stream,
+                                const std::string& name,
+                                std::vector<std::string>& failures) {
+  log::VerifyReport report =
+      log::verify_log(log::parse_log(stream.buffer()), "");
+  if (!report.ok()) {
+    std::string message = "FAIL: " + name + " does not verify offline:";
+    for (const log::Issue& issue : report.chain_issues.empty()
+                                       ? report.invariant_issues
+                                       : report.chain_issues) {
+      message += "\n  seq " + std::to_string(issue.seq) + " t=" +
+                 std::to_string(issue.t_us) + " us: " + issue.what;
+    }
+    failures.push_back(std::move(message));
   }
-  return sinks;
+  return report;
 }
 
-/// Runs one arena (with or without the scenario's faults) and samples
-/// every user's live miss/frame counters — plus the live lease-liveness
-/// check — every 20 ms.
+/// Runs one arena (with or without the scenario's faults), samples every
+/// user's live miss/frame counters every 20 ms, and verifies the
+/// coordinator stream it records in memory. A non-empty `log_dir` also
+/// records per-user streams and writes every stream to
+/// log_dir/<stem>*.log.
 RunOutcome run_arena(std::size_t users, const Scenario& scenario,
                      bool faulted, bool failover, std::uint64_t seed,
-                     double duration_s, LogSinks* sinks) {
-  const core::Scene prototype = arena_scene();
+                     double duration_s, const std::string& log_dir = {},
+                     const std::string& stem = {}) {
+  const core::Scene prototype = bench::arena_scene();
   sim::Simulator simulator;
-  auto config = make_config(users, seed, duration_s);
+  auto config = bench::arena_config(users, seed, duration_s);
   if (faulted) {
     config.faults = scenario.faults;
     config.lease_failover = failover;
   }
-  if (sinks != nullptr) {
-    config.recorder = sinks->coordinator.get();
-    config.user_recorder = [sinks](std::size_t u) {
-      return sinks->users[u].get();
-    };
-  }
+  bench::LogSinks sinks =
+      bench::make_sinks(log_dir, stem, "arena_chaos",
+                        log_dir.empty() ? 0 : users, seed, simulator);
+  sinks.attach(config);
   arena::Coordinator coordinator{simulator, prototype, config,
-                                 motion_factory(seed),
-                                 script_factory(duration_s)};
+                                 bench::motion_factory(seed),
+                                 bench::script_factory(duration_s)};
 
   RunOutcome out;
   out.trajectories.resize(users);
@@ -337,10 +237,6 @@ RunOutcome run_arena(std::size_t users, const Scenario& scenario,
   }
   std::vector<std::uint8_t> pre_fault_touched(
       users * scenario.faulted_reflectors.size(), 0);
-  // Live lease-liveness watcher state: how long each reflector has been
-  // observed quarantined-with-a-holder.
-  std::vector<sim::TimePoint> bad_since(prototype.reflector_count());
-  std::vector<std::uint8_t> bad(prototype.reflector_count(), 0);
   const auto probe = [&] {
     const sim::TimePoint now = simulator.now();
     for (std::size_t u = 0; u < users; ++u) {
@@ -381,26 +277,6 @@ RunOutcome run_arena(std::size_t users, const Scenario& scenario,
         }
       }
     }
-    if (!faulted || !failover) {
-      return;  // the liveness gate binds on the failover-enabled fault run
-    }
-    for (std::size_t r = 0; r < bad.size(); ++r) {
-      const bool held_quarantined =
-          coordinator.device_health().quarantined(r) &&
-          coordinator.arbiter().holder(r).has_value();
-      if (!held_quarantined) {
-        bad[r] = 0;
-        continue;
-      }
-      if (bad[r] == 0) {
-        bad[r] = 1;
-        bad_since[r] = now;
-        continue;
-      }
-      if (now - bad_since[r] > config.revoke_grace) {
-        ++out.lease_liveness_violations;
-      }
-    }
   };
   const sim::TimePoint end{sim::from_seconds(duration_s)};
   for (sim::TimePoint t{kProbeInterval}; t < end; t += kProbeInterval) {
@@ -436,18 +312,42 @@ RunOutcome run_arena(std::size_t users, const Scenario& scenario,
       out.ledger_checks += results[u].report.arena->ledger_checks;
       out.ledger_violations += results[u].report.arena->ledger_violations;
     }
-    fingerprint_mix(out.fingerprint,
-                    arena::qoe_fingerprint(results[u].report));
+    out.fingerprint = bench::fingerprint_mix(
+        out.fingerprint, arena::qoe_fingerprint(results[u].report));
   }
   out.chaos = coordinator.chaos();
-  out.denials = coordinator.arbiter().stats().denials;
   out.quarantine_denials = coordinator.arbiter().stats().quarantine_denials;
   out.fast_tracks = coordinator.arbiter().stats().fast_tracks;
   out.stale_reservations = coordinator.arbiter().stats().stale_reservations;
-  if (sinks != nullptr) {
-    sinks->coordinator->close();
-    for (auto& user_log : sinks->users) {
-      user_log->close();
+
+  sinks.close();
+  const std::string run_name = " log (" + std::to_string(users) + " users, " +
+                               scenario.name + ", seed " +
+                               std::to_string(seed) +
+                               (faulted ? ", faulted)" : ", fault-free)");
+  out.coordinator_log = verify_stream(
+      *sinks.coordinator, "coordinator" + run_name, out.log_failures);
+  // A clean verdict proves lease liveness only over a log that carries its
+  // bounds and a lease snapshot per reflector per control tick.
+  const auto ticks =
+      static_cast<std::uint64_t>(config.session.duration /
+                                 config.control_interval);
+  const std::uint64_t want = out.reflectors * ticks;
+  if (!out.coordinator_log.has_params ||
+      out.coordinator_log.lease_snapshots < want) {
+    out.log_failures.push_back(
+        "FAIL: coordinator" + run_name + " is too thin to prove lease " +
+        "liveness (params " +
+        (out.coordinator_log.has_params ? "present" : "missing") + ", " +
+        std::to_string(out.coordinator_log.lease_snapshots) + " of " +
+        std::to_string(want) + " lease snapshots)");
+  } else if (out.coordinator_log.ok()) {
+    ++out.logs_verified;
+  }
+  for (std::size_t u = 0; u < sinks.users.size(); ++u) {
+    const std::string name = "user" + std::to_string(u) + run_name;
+    if (verify_stream(*sinks.users[u], name, out.log_failures).ok()) {
+      ++out.logs_verified;
     }
   }
   return out;
@@ -466,13 +366,13 @@ struct CellResult {
 
 CellResult run_cell(std::size_t users, const Scenario& scenario,
                     std::uint64_t seed, double duration_s) {
-  // The plain sweep cell runs unlogged; the event-log pass (one logged
-  // cell per scenario) is driven separately from main().
+  // Sweep cells keep their logs in memory; the event-log pass (one cell
+  // per scenario written to disk) is driven separately from main().
   CellResult cell;
   cell.faulted = run_arena(users, scenario, /*faulted=*/true,
-                           /*failover=*/true, seed, duration_s, nullptr);
+                           /*failover=*/true, seed, duration_s);
   cell.reference = run_arena(users, scenario, /*faulted=*/false,
-                             /*failover=*/true, seed, duration_s, nullptr);
+                             /*failover=*/true, seed, duration_s);
 
   // Blast set: shared a faulted reflector during its fault window in
   // EITHER run (held it, first touched it after the fault landed, bounced
@@ -561,25 +461,6 @@ CellResult run_cell(std::size_t users, const Scenario& scenario,
   return cell;
 }
 
-/// Verifies one recorded log file offline; returns true when clean.
-bool verify_file(const std::string& path, int* failures) {
-  const log::ParsedLog parsed = log::parse_log_file(path);
-  const log::VerifyReport report = log::verify_log(parsed, "");
-  if (report.ok()) {
-    return true;
-  }
-  std::printf("FAIL: %s does not verify offline:\n", path.c_str());
-  for (const log::Issue& issue :
-       report.chain_issues.empty() ? report.invariant_issues
-                                   : report.chain_issues) {
-    std::printf("  seq %lld t=%lld us: %s\n",
-                static_cast<long long>(issue.seq),
-                static_cast<long long>(issue.t_us), issue.what.c_str());
-  }
-  ++*failures;
-  return false;
-}
-
 /// The --disable-failover tripwire: run one cell with lease failover OFF
 /// and a long, mild all-reflector gain sag (links stay usable, so holders
 /// keep riding their quarantined devices), then demand that the offline
@@ -589,11 +470,7 @@ int run_tripwire(std::size_t users, std::uint64_t seed, double duration_s,
   if (dir.empty()) {
     dir = "arena_chaos_tripwire";
   }
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
+  if (!bench::make_dir(dir)) {
     return 2;
   }
   Scenario scenario;
@@ -603,27 +480,10 @@ int run_tripwire(std::size_t users, std::uint64_t seed, double duration_s,
     scenario.faulted_reflectors.push_back(r);
   }
 
-  const core::Scene prototype = arena_scene();
-  sim::Simulator simulator;
-  auto config = make_config(users, seed, duration_s);
-  config.faults = scenario.faults;
-  config.lease_failover = false;
-  LogSinks sinks = make_sinks(dir, "tripwire", users, seed, simulator);
-  config.recorder = sinks.coordinator.get();
-  config.user_recorder = [&sinks](std::size_t u) {
-    return sinks.users[u].get();
-  };
-  arena::Coordinator coordinator{simulator, prototype, config,
-                                 motion_factory(seed),
-                                 script_factory(duration_s)};
-  coordinator.run();
-  sinks.coordinator->close();
-  for (auto& user_log : sinks.users) {
-    user_log->close();
-  }
-
-  const log::ParsedLog parsed = log::parse_log_file(sinks.coordinator_path);
-  const log::VerifyReport report = log::verify_log(parsed, "");
+  const RunOutcome run = run_arena(users, scenario, /*faulted=*/true,
+                                   /*failover=*/false, seed, duration_s, dir,
+                                   "tripwire.");
+  const log::VerifyReport& report = run.coordinator_log;
   if (!report.chain_issues.empty()) {
     std::printf("FAIL: tripwire log has chain issues (expected a clean "
                 "chain with an invariant F violation):\n  %s\n",
@@ -642,10 +502,9 @@ int run_tripwire(std::size_t users, std::uint64_t seed, double duration_s,
                 first.what.c_str());
     return 1;
   }
-  std::printf("OK: tripwire caught — verification of %s fails at seq %lld "
-              "(t=%lld us):\n  %s\n",
-              sinks.coordinator_path.c_str(),
-              static_cast<long long>(first.seq),
+  std::printf("OK: tripwire caught — verification of the coordinator log "
+              "in %s fails at seq %lld (t=%lld us):\n  %s\n",
+              dir.c_str(), static_cast<long long>(first.seq),
               static_cast<long long>(first.t_us), first.what.c_str());
   return 0;
 }
@@ -664,16 +523,17 @@ void print_usage() {
       "  --duration SECONDS   sim time per run (default 6)\n"
       "  --threads N          worker threads (default: hardware)\n"
       "  --json PATH          machine-readable summary (BENCH_arena_chaos)\n"
-      "  --event-log DIR      record coordinator + per-user event logs for\n"
-      "                       one cell per scenario and re-verify offline\n"
+      "  --event-log DIR      write coordinator + per-user event logs for\n"
+      "                       one cell per scenario and verify them\n"
       "  --disable-failover   tripwire: run with lease failover OFF and\n"
       "                       exit 0 only if offline verification FAILS at\n"
       "                       the first lease-liveness record\n\n"
-      "Exits nonzero when any ledger audit opens, a live 20 ms probe sees\n"
-      "a lease outlive its device's quarantine grace, a user sharing no\n"
-      "faulted resource leaves its fault-free glitch trajectory by more\n"
-      "than the isolation epsilon, a recorded log fails offline\n"
-      "verification, or the chaos machinery never engaged.\n");
+      "Exits nonzero when any ledger audit opens, a run's recorded event\n"
+      "log fails offline verification (a lease outliving its device's\n"
+      "quarantine grace is invariant F) or is too thin to prove lease\n"
+      "liveness, a user sharing no faulted resource leaves its fault-free\n"
+      "glitch trajectory by more than the isolation epsilon, or the chaos\n"
+      "machinery never engaged.\n");
 }
 
 }  // namespace
@@ -690,16 +550,9 @@ int main(int argc, char** argv) {
   bool disable_failover = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      user_counts.clear();
-      for (const char* p = argv[++i]; *p != '\0';) {
-        char* endp = nullptr;
-        const unsigned long v = std::strtoul(p, &endp, 10);
-        if (endp == p || v == 0) {
-          std::fprintf(stderr, "bad --users list\n");
-          return 2;
-        }
-        user_counts.push_back(static_cast<std::size_t>(v));
-        p = *endp == ',' ? endp + 1 : endp;
+      if (!bench::parse_users(argv[++i], user_counts)) {
+        std::fprintf(stderr, "bad --users list\n");
+        return 2;
       }
     } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
       seeds = std::atoi(argv[++i]);
@@ -732,14 +585,8 @@ int main(int argc, char** argv) {
                         duration_s, event_log_dir);
   }
 
-  std::vector<std::uint64_t> seed_list;
-  if (have_single_seed) {
-    seed_list.push_back(single_seed);
-  } else {
-    for (int s = 1; s <= seeds; ++s) {
-      seed_list.push_back(static_cast<std::uint64_t>(s));
-    }
-  }
+  const std::vector<std::uint64_t> seed_list =
+      bench::seed_list(have_single_seed, single_seed, seeds);
   const std::vector<Scenario> grid = scenarios();
 
   struct SweepJob {
@@ -803,39 +650,30 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(chaos.device_restores),
                 cell.blast_users, cell.max_excess,
                 static_cast<unsigned long long>(
-                    cell.faulted.lease_liveness_violations));
+                    cell.faulted.coordinator_log.invariant_issues.size()));
   }
 
   // Gate 1: every user's extended packet ledger closes at every 20 ms
-  // check, in both the faulted and the reference runs.
+  // check, in both the faulted and the reference runs. Gate 2: lease
+  // liveness — both runs' coordinator logs verify (invariant F: no
+  // quarantined reflector keeps its holder past the revocation grace) and
+  // are thick enough to prove it.
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const CellResult& cell = results[j];
-    const bool bad =
-        cell.faulted.ledger_violations > 0 || cell.faulted.ledger_checks == 0 ||
-        cell.reference.ledger_violations > 0 ||
-        cell.reference.ledger_checks == 0;
-    if (bad) {
-      std::printf("FAIL: ledger audit open (%zu users, %s, seed %llu)\n",
-                  jobs[j].users, grid[jobs[j].scenario].name,
-                  static_cast<unsigned long long>(jobs[j].seed));
-      bench::print_replay("arena_chaos", jobs[j].seed, duration_s, "");
-      ++failures;
+    const int before = failures;
+    for (const RunOutcome* run : {&results[j].faulted, &results[j].reference}) {
+      if (run->ledger_violations > 0 || run->ledger_checks == 0) {
+        std::printf("FAIL: ledger audit open (%zu users, %s, seed %llu)\n",
+                    jobs[j].users, grid[jobs[j].scenario].name,
+                    static_cast<unsigned long long>(jobs[j].seed));
+        ++failures;
+      }
+      for (const std::string& failure : run->log_failures) {
+        std::printf("%s\n", failure.c_str());
+        ++failures;
+      }
     }
-  }
-
-  // Gate 2: live lease liveness — no 20 ms probe ever saw a quarantined
-  // reflector keep its holder past the revocation grace.
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (results[j].faulted.lease_liveness_violations > 0) {
-      std::printf(
-          "FAIL: lease liveness: %llu probes saw a quarantined reflector "
-          "still leased (%zu users, %s, seed %llu)\n",
-          static_cast<unsigned long long>(
-              results[j].faulted.lease_liveness_violations),
-          jobs[j].users, grid[jobs[j].scenario].name,
-          static_cast<unsigned long long>(jobs[j].seed));
+    if (failures > before) {
       bench::print_replay("arena_chaos", jobs[j].seed, duration_s, "");
-      ++failures;
     }
   }
 
@@ -885,52 +723,31 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  // Event-log pass: one logged cell per scenario (largest user count,
-  // first seed), every stream re-verified offline in-process.
-  std::size_t logs_verified = 0;
+  // Event-log pass: one cell per scenario (largest user count, first
+  // seed) with every stream written to disk and verified in-process.
+  std::uint64_t logs_verified = 0;
   if (!event_log_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(event_log_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create --event-log dir %s: %s\n",
-                   event_log_dir.c_str(), ec.message().c_str());
+    if (!bench::make_dir(event_log_dir)) {
       return 2;
     }
     const std::size_t users = user_counts.back();
     const std::uint64_t seed = seed_list.front();
     for (const Scenario& scenario : grid) {
-      sim::Simulator simulator;
-      const core::Scene prototype = arena_scene();
-      auto config = make_config(users, seed, duration_s);
-      config.faults = scenario.faults;
       const std::string stem = std::string{scenario.name} + "_u" +
                                std::to_string(users) + "_s" +
-                               std::to_string(seed);
-      LogSinks sinks =
-          make_sinks(event_log_dir, stem, users, seed, simulator);
-      config.recorder = sinks.coordinator.get();
-      config.user_recorder = [&sinks](std::size_t u) {
-        return sinks.users[u].get();
-      };
-      arena::Coordinator coordinator{simulator, prototype, config,
-                                     motion_factory(seed),
-                                     script_factory(duration_s)};
-      coordinator.run();
-      sinks.coordinator->close();
-      for (auto& user_log : sinks.users) {
-        user_log->close();
+                               std::to_string(seed) + ".";
+      const RunOutcome run =
+          run_arena(users, scenario, /*faulted=*/true, /*failover=*/true,
+                    seed, duration_s, event_log_dir, stem);
+      for (const std::string& failure : run.log_failures) {
+        std::printf("%s\n", failure.c_str());
+        ++failures;
       }
-      if (verify_file(sinks.coordinator_path, &failures)) {
-        ++logs_verified;
-      }
-      for (const std::string& path : sinks.user_paths) {
-        if (verify_file(path, &failures)) {
-          ++logs_verified;
-        }
-      }
+      logs_verified += run.logs_verified;
     }
-    std::printf("\nevent logs: %zu stream(s) verified offline in %s\n",
-                logs_verified, event_log_dir.c_str());
+    std::printf("\nevent logs: %llu stream(s) verified offline in %s\n",
+                static_cast<unsigned long long>(logs_verified),
+                event_log_dir.c_str());
   }
 
   if (!json_path.empty()) {
@@ -957,7 +774,8 @@ int main(int argc, char** argv) {
           .set("max_isolation_excess", cell.max_excess)
           .set("isolation_violations", cell.isolation_violations)
           .set("lease_liveness_violations",
-               cell.faulted.lease_liveness_violations)
+               static_cast<std::uint64_t>(
+                   cell.faulted.coordinator_log.invariant_issues.size()))
           .set("ledger_checks", cell.faulted.ledger_checks)
           .set("ledger_violations", cell.faulted.ledger_violations)
           .set("fingerprint", bench::fingerprint_hex(cell.faulted.fingerprint))
@@ -976,7 +794,7 @@ int main(int argc, char** argv) {
         .set("total_failover_revocations", totals.failover_revocations)
         .set("total_fast_tracks", total_fast_tracks)
         .set("total_quarantine_denials", total_quarantine_denials)
-        .set("logs_verified", static_cast<std::uint64_t>(logs_verified))
+        .set("logs_verified", logs_verified)
         .set("pass", failures == 0)
         .set("sweep", std::move(sweep));
     if (!bench::emit_json(json_path, doc)) {

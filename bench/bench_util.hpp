@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,6 +49,11 @@ inline void calibrate_reflector(core::Scene& scene,
   scene.ap().node().steer_toward(reflector.position());
   core::GainController::run(reflector.front_end(),
                             scene.reflector_input(reflector), rng);
+}
+
+/// One uniform draw from [lo, hi) on a seeded stream.
+inline double uniform(std::mt19937_64& g, double lo, double hi) {
+  return std::uniform_real_distribution<double>{lo, hi}(g);
 }
 
 struct Stats {
@@ -120,6 +127,31 @@ inline std::string fingerprint_hex(std::uint64_t fingerprint) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(fingerprint));
   return buf;
+}
+
+/// The seeds a sweep runs: exactly `single` in replay mode, else 1..seeds.
+inline std::vector<std::uint64_t> seed_list(bool replay, std::uint64_t single,
+                                            int seeds) {
+  if (replay) {
+    return {single};
+  }
+  std::vector<std::uint64_t> out;
+  for (int s = 1; s <= seeds; ++s) {
+    out.push_back(static_cast<std::uint64_t>(s));
+  }
+  return out;
+}
+
+/// Creates `dir` and its parents for a bench's output files; false, with
+/// the reason on stderr, when it cannot.
+inline bool make_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
+                 ec.message().c_str());
+  }
+  return !ec;
 }
 
 /// The exact single-seed replay command a failing run prints; `extra` is

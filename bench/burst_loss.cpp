@@ -44,6 +44,8 @@
 namespace {
 
 using namespace movr;
+using bench::fingerprint_mix;
+using bench::uniform;
 using geom::deg_to_rad;
 using namespace std::chrono_literals;
 
@@ -57,15 +59,6 @@ struct ArmResult {
   std::uint64_t ledger_violations{0};
   std::uint64_t fingerprint{0};
 };
-
-double uniform(std::mt19937_64& g, double lo, double hi) {
-  return std::uniform_real_distribution<double>{lo, hi}(g);
-}
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
 
 /// A person stands on the AP-headset line for 40% of the session.
 vr::BlockageScript standing_blocker(sim::Duration duration) {
@@ -159,21 +152,21 @@ ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
 
   const net::TransportMetrics& m = *result.report.transport;
   std::uint64_t h = sim::fnv1a("burst_loss");
-  h = mix(h, seed);
-  h = mix(h, static_cast<std::uint64_t>(arm));
-  h = mix(h, m.frames_emitted);
-  h = mix(h, m.deadline_misses);
-  h = mix(h, m.packets_enqueued);
-  h = mix(h, m.packets_delivered);
-  h = mix(h, m.packets_dropped);
-  h = mix(h, m.packets_recovered);
-  h = mix(h, m.packets_recovered_delivered);
-  h = mix(h, m.parity_enqueued);
-  h = mix(h, m.retransmits);
+  h = fingerprint_mix(h, seed);
+  h = fingerprint_mix(h, static_cast<std::uint64_t>(arm));
+  h = fingerprint_mix(h, m.frames_emitted);
+  h = fingerprint_mix(h, m.deadline_misses);
+  h = fingerprint_mix(h, m.packets_enqueued);
+  h = fingerprint_mix(h, m.packets_delivered);
+  h = fingerprint_mix(h, m.packets_dropped);
+  h = fingerprint_mix(h, m.packets_recovered);
+  h = fingerprint_mix(h, m.packets_recovered_delivered);
+  h = fingerprint_mix(h, m.parity_enqueued);
+  h = fingerprint_mix(h, m.retransmits);
   if (result.report.burst.has_value()) {
-    h = mix(h, result.report.burst->steps_bad);
-    h = mix(h, result.report.burst->bursts);
-    h = mix(h, result.report.burst->forced_bad);
+    h = fingerprint_mix(h, result.report.burst->steps_bad);
+    h = fingerprint_mix(h, result.report.burst->bursts);
+    h = fingerprint_mix(h, result.report.burst->forced_bad);
   }
   result.fingerprint = h;
   return result;
@@ -224,14 +217,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::uint64_t> seed_list;
-  if (have_single_seed) {
-    seed_list.push_back(single_seed);
-  } else {
-    for (int s = 1; s <= seeds; ++s) {
-      seed_list.push_back(static_cast<std::uint64_t>(s));
-    }
-  }
+  const std::vector<std::uint64_t> seed_list =
+      bench::seed_list(have_single_seed, single_seed, seeds);
 
   bench::print_header(
       "Burst loss — ARQ-only vs static FEC vs adaptive hybrid FEC/ARQ");

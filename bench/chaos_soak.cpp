@@ -3,8 +3,10 @@
 // Each seed composes a full fault cocktail over a live MoVR session —
 // obstacle storms, hand blockages, control partitions, brownouts, payload
 // corruption, reordering, a reflector reboot, amplifier sag, sensor bias
-// drift, and the lossy frame transport — and checks the global safety
-// invariants every 20 ms of sim time:
+// drift, and the lossy frame transport — records the run's signed event
+// log in memory (control and reflector snapshots every 20 ms of sim time,
+// transport ledgers, searches, epochs, partitions), and gates on
+// log::verify_log replaying the global safety invariants from those bytes:
 //
 //   A  gain <= leakage margin: once a control partition has outlasted the
 //      silence watchdog (plus one tick of grace), every reflector's gain
@@ -16,11 +18,14 @@
 //   C  config divergence is reconciled within a bound (2.5 s) for every
 //      reachable reflector (partitioned ones are excluded — nothing can
 //      cross a partition).
-//   D  the control-channel ledger closes every tick (sent == delivered +
-//      dropped + undeliverable) and the transport packet ledger closes at
-//      session end.
+//   D  the control-channel and transport packet ledgers close at every
+//      snapshot.
 //   E  every angle search launched into the chaos terminates — completed,
 //      or failed with a reason — inside its watchdog budget.
+//
+// The gate also fails when the log is too thin to prove anything: no
+// params record, a 20 ms tick without its control and reflector
+// snapshots, or a launched search missing from the log.
 //
 // Every random draw derives from the seed via sim::RngRegistry, so a
 // failing seed replays bit-identically; on failure the bench prints the
@@ -39,7 +44,7 @@
 //                        watchdogs off; invariant A must catch it
 //   --expect-violation   invert the exit code: succeed only if at least
 //                        one invariant violation was observed
-//   --event-log DIR      record each seed's signed event log to
+//   --event-log DIR      also write each seed's signed event log to
 //                        DIR/seed<N>.log (tools/log_verify re-checks the
 //                        chain and all five invariants offline)
 //   --json PATH          write a machine-readable summary to PATH
@@ -47,14 +52,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <core/angle_search.hpp>
 #include <core/config_epoch.hpp>
+#include <log/reader.hpp>
 #include <log/recorder.hpp>
+#include <log/verify.hpp>
 #include <sim/fault_injector.hpp>
 #include <sim/rng.hpp>
 #include <vr/fault_scenarios.hpp>
@@ -65,37 +71,23 @@
 namespace {
 
 using namespace movr;
+using bench::uniform;
 using geom::deg_to_rad;
 using namespace std::chrono_literals;
-
-struct Violation {
-  sim::TimePoint at{};
-  std::string what;
-};
-
-struct SearchRecord {
-  sim::TimePoint started{};
-  sim::Duration took{0};
-  bool launched{false};
-  bool done{false};
-  bool completed{false};
-  std::string reason;
-};
 
 struct SeedResult {
   std::uint64_t seed{0};
   vr::QoeReport report;
   sim::ControlChannel::Stats channel;
   core::ControlPlaneIncidents incidents;
-  std::vector<Violation> violations;
+  /// Every issue log::verify_log found in the run's log, chain issues first.
+  std::vector<log::Issue> violations;
+  /// Why the log is too thin to prove the invariants; empty when it is not.
+  std::string thin;
   std::size_t searches{0};
   std::uint64_t ticks_checked{0};
   std::uint64_t fingerprint{0};
 };
-
-double uniform(std::mt19937_64& g, double lo, double hi) {
-  return std::uniform_real_distribution<double>{lo, hi}(g);
-}
 
 SeedResult run_seed(std::uint64_t seed, double duration_s,
                     bool watchdog_enabled,
@@ -129,21 +121,21 @@ SeedResult run_seed(std::uint64_t seed, double duration_s,
   channel_config.reorder_probability = uniform(chaos, 0.02, 0.12);
   sim::ControlChannel control{simulator, channel_config, rngs.stream("bt")};
 
-  // --- signed event log (optional): pure-read hooks, no RNG consumed ----
-  std::unique_ptr<log::Recorder> recorder;
+  // --- signed event log: pure-read hooks, no RNG consumed. Always kept
+  // in memory for the verdict; --event-log also writes it to disk. ------
+  log::Recorder::Config log_config;
   if (!event_log_dir.empty()) {
-    log::Recorder::Config log_config;
     log_config.path = event_log_dir + "/seed" + std::to_string(seed) + ".log";
-    log_config.bench = "chaos_soak";
-    log_config.seed = seed;
-    recorder = std::make_unique<log::Recorder>(std::move(log_config));
-    recorder->bind_clock(&simulator);
   }
+  log_config.bench = "chaos_soak";
+  log_config.seed = seed;
+  log::Recorder recorder{std::move(log_config)};
+  recorder.bind_clock(&simulator);
 
   // The manager's register writes stand for BT exchanges: gate them on the
   // channel, so it cannot command a reflector across a partition.
   core::LinkManager::Config manager_config;
-  manager_config.recorder = recorder.get();
+  manager_config.recorder = &recorder;
   manager_config.reflector_reachable = [&control](std::size_t) {
     return !control.partitioned();
   };
@@ -159,16 +151,14 @@ SeedResult run_seed(std::uint64_t seed, double duration_s,
                                     rngs.stream("agent", 1)};
   agent0.set_input_probe([&] { return scene.reflector_input(r0); });
   agent1.set_input_probe([&] { return scene.reflector_input(r1); });
-  if (recorder) {
-    agent0.set_recorder(recorder.get(), 0);
-    agent1.set_recorder(recorder.get(), 1);
-  }
+  agent0.set_recorder(&recorder, 0);
+  agent1.set_recorder(&recorder, 1);
   agent0.start();
   agent1.start();
 
   core::ControlPlane plane{simulator, control, {}};
-  plane.set_recorder(recorder.get());
-  strategy.manager().health().set_recorder(recorder.get());
+  plane.set_recorder(&recorder);
+  strategy.manager().health().set_recorder(&recorder);
   plane.bind_health(&strategy.manager().health());
   plane.manage(0, r0, &agent0);
   plane.manage(1, r1, &agent1);
@@ -252,229 +242,102 @@ SeedResult run_seed(std::uint64_t seed, double duration_s,
   search_config.watchdog = 2s;
   search_config.abort_after_failed_commands = 8;
   std::vector<std::unique_ptr<core::IncidenceSearch>> searches;
-  std::vector<SearchRecord> search_records;
   for (double at_s = 8.0; at_s + 3.0 < duration_s; at_s += 17.0) {
     const auto i = searches.size();
     searches.push_back(std::make_unique<core::IncidenceSearch>(
         simulator, control, scene, r1, search_config,
         rngs.stream("search", i)));
-    search_records.emplace_back();
     simulator.at(sim::TimePoint{sim::from_seconds(at_s)}, [&, i] {
-      search_records[i].launched = true;
-      search_records[i].started = simulator.now();
-      if (recorder) {
-        recorder->record(log::EventKind::kSearchLaunch,
-                         {{"id", static_cast<std::int64_t>(i)}});
-      }
+      recorder.record(log::EventKind::kSearchLaunch,
+                      {{"id", static_cast<std::int64_t>(i)}});
       searches[i]->start([&, i](const core::IncidenceResult& r) {
-        search_records[i].done = true;
-        search_records[i].completed = r.completed;
-        search_records[i].reason = r.failure_reason;
-        search_records[i].took = r.duration;
-        if (recorder) {
-          recorder->record(
-              log::EventKind::kSearchDone,
-              {{"id", static_cast<std::int64_t>(i)},
-               {"completed", r.completed ? 1 : 0},
-               {"reason_h", r.failure_reason.empty()
-                                ? 0
-                                : log::Recorder::name_hash(r.failure_reason)},
-               {"took_us", r.duration.count() / 1000}});
-        }
+        recorder.record(
+            log::EventKind::kSearchDone,
+            {{"id", static_cast<std::int64_t>(i)},
+             {"completed", r.completed ? 1 : 0},
+             {"reason_h", r.failure_reason.empty()
+                              ? 0
+                              : log::Recorder::name_hash(r.failure_reason)},
+             {"took_us", r.duration.count() / 1000}});
       });
     });
   }
   result.searches = searches.size();
 
-  // --- the invariant checker, every 20 ms of sim time -------------------
+  // --- the per-20 ms snapshots the verifier replays A-D from ------------
   const sim::Duration grace = agent_config.silence_timeout +
                               2 * agent_config.watchdog_tick +
                               sim::Duration{100'000'000};
   const sim::Duration oscillation_bound{1'000'000'000};
   const sim::Duration divergence_bound{2'500'000'000};
-  // The params record makes the log self-describing: the offline verifier
-  // replays A/B/C/E against exactly these bounds (tick_us is the checker
-  // cadence — one tick of quantisation grace for the offline E bound).
-  if (recorder) {
-    recorder->record(
-        log::EventKind::kParams,
-        {{"grace_us", grace.count() / 1000},
-         {"osc_us", oscillation_bound.count() / 1000},
-         {"div_us", divergence_bound.count() / 1000},
-         {"watchdog_us", search_config.watchdog.count() / 1000},
-         {"slack_us", 500'000},
-         {"tick_us", 20'000},
-         {"reflectors", 2}});
-  }
+  // The params record makes the log self-describing: the verifier replays
+  // A/B/C/E against exactly these bounds (tick_us is the snapshot cadence
+  // — one tick of quantisation grace for the E bound).
+  recorder.record(log::EventKind::kParams,
+                  {{"grace_us", grace.count() / 1000},
+                   {"osc_us", oscillation_bound.count() / 1000},
+                   {"div_us", divergence_bound.count() / 1000},
+                   {"watchdog_us", search_config.watchdog.count() / 1000},
+                   {"slack_us", 500'000},
+                   {"tick_us", 20'000},
+                   {"reflectors", 2}});
   // Applied/cleared fault windows already mirrored into the log (the
   // injector itself stays log-free — no sim -> log dependency).
   std::vector<std::pair<bool, bool>> fault_logged(injector.timeline().size(),
                                                   {false, false});
-  struct WatchState {
-    sim::TimePoint partition_since{};
-    bool partitioned{false};
-    sim::TimePoint unstable_since[2]{};
-    bool unstable[2]{false, false};
-  };
-  auto watch = std::make_unique<WatchState>();
-  const auto violate = [&](const std::string& what) {
-    result.violations.push_back({simulator.now(), what});
-  };
-  const auto check = [&, w = watch.get()] {
+  const core::MovrReflector* reflectors[2] = {&r0, &r1};
+  const core::ReflectorConfigAgent* agents[2] = {&agent0, &agent1};
+  // Each tick mirrors fault-window transitions, then the control snapshot
+  // (partition flag first — the verifier's A clock), then one snapshot per
+  // reflector. All pure reads.
+  const auto snapshot = [&] {
     const auto now = simulator.now();
-    ++result.ticks_checked;
-    // A: partition outlasting the watchdog => gain at/below the safe floor.
-    if (control.partitioned()) {
-      if (!w->partitioned) {
-        w->partitioned = true;
-        w->partition_since = now;
+    const auto& timeline = injector.timeline();
+    for (std::size_t fi = 0; fi < timeline.size(); ++fi) {
+      const sim::FaultInjector::AppliedFault& fault = timeline[fi];
+      if (fault.applied && !fault_logged[fi].first) {
+        fault_logged[fi].first = true;
+        recorder.record(log::EventKind::kFaultOpen,
+                        {{"name_h", log::Recorder::name_hash(fault.name)},
+                         {"start_us", fault.start.count() / 1000},
+                         {"end_us", fault.end.count() / 1000}});
       }
-      if (now - w->partition_since > grace) {
-        const core::ReflectorConfigAgent* agents[2] = {&agent0, &agent1};
-        const core::MovrReflector* reflectors[2] = {&r0, &r1};
-        for (int i = 0; i < 2; ++i) {
-          if (reflectors[i]->front_end().gain_code() >
-              agents[i]->safe_gain_code()) {
-            violate("invariant A: reflector " + std::to_string(i) +
-                    " gain code " +
-                    std::to_string(reflectors[i]->front_end().gain_code()) +
-                    " above safe floor code " +
-                    std::to_string(agents[i]->safe_gain_code()) +
-                    " during a partition older than the watchdog grace"
-                    " (safe_mode=" +
-                    std::to_string(agents[i]->in_safe_mode()) +
-                    " applied_seq=" +
-                    std::to_string(agents[i]->applied_seq()) +
-                    " plane_partitioned=" +
-                    std::to_string(
-                        plane.partitioned(static_cast<std::size_t>(i))) +
-                    " partition_age_ms=" +
-                    std::to_string(
-                        sim::to_milliseconds(now - w->partition_since)) +
-                    ")");
-          }
-        }
-      }
-    } else {
-      w->partitioned = false;
-    }
-    // B: instability must not be sustained.
-    const core::MovrReflector* reflectors[2] = {&r0, &r1};
-    bool stable_flags[2] = {true, true};
-    for (int i = 0; i < 2; ++i) {
-      const auto state =
-          reflectors[i]->front_end().process(scene.reflector_input(*reflectors[i]));
-      stable_flags[i] = state.stable;
-      if (!state.stable) {
-        if (!w->unstable[i]) {
-          w->unstable[i] = true;
-          w->unstable_since[i] = now;
-        }
-        if (now - w->unstable_since[i] > oscillation_bound) {
-          violate("invariant B: reflector " + std::to_string(i) +
-                  " oscillating for more than " +
-                  std::to_string(sim::to_milliseconds(oscillation_bound)) +
-                  " ms");
-          w->unstable_since[i] = now;  // rate-limit repeat reports
-        }
-      } else {
-        w->unstable[i] = false;
+      if (fault.cleared && !fault_logged[fi].second) {
+        fault_logged[fi].second = true;
+        recorder.record(log::EventKind::kFaultClose,
+                        {{"name_h", log::Recorder::name_hash(fault.name)},
+                         {"start_us", fault.start.count() / 1000},
+                         {"end_us", fault.end.count() / 1000}});
       }
     }
-    // C: config divergence reconciled within the bound.
-    if (plane.max_divergence_age(now) > divergence_bound) {
-      std::string detail;
-      const core::ReflectorConfigAgent* cagents[2] = {&agent0, &agent1};
-      const core::MovrReflector* crefl[2] = {&r0, &r1};
-      for (int i = 0; i < 2; ++i) {
-        detail += " r" + std::to_string(i) + "(age_ms=" +
-                  std::to_string(sim::to_milliseconds(
-                      plane.divergence_age(static_cast<std::size_t>(i), now))) +
-                  " partitioned=" +
-                  std::to_string(plane.partitioned(static_cast<std::size_t>(i))) +
-                  " safe_mode=" + std::to_string(cagents[i]->in_safe_mode()) +
-                  " gain=" +
-                  std::to_string(crefl[i]->front_end().gain_code()) +
-                  " osc_trips=" +
-                  std::to_string(cagents[i]->stats().oscillation_trips) +
-                  " safe_entries=" +
-                  std::to_string(cagents[i]->stats().safe_mode_entries) +
-                  " applied=" + std::to_string(cagents[i]->applied_seq()) +
-                  ")";
-      }
-      violate("invariant C: config divergence older than " +
-              std::to_string(sim::to_milliseconds(divergence_bound)) + " ms:" +
-              detail);
-    }
-    // D: the control-channel ledger closes on every tick.
     const auto& cs = control.stats();
-    if (cs.sent !=
-        cs.delivered + cs.dropped + cs.undeliverable + cs.in_flight) {
-      violate("invariant D: control ledger open (sent " +
-              std::to_string(cs.sent) + " != delivered " +
-              std::to_string(cs.delivered) + " + dropped " +
-              std::to_string(cs.dropped) + " + undeliverable " +
-              std::to_string(cs.undeliverable) + " + in-flight " +
-              std::to_string(cs.in_flight) + ")");
-    }
-    // E: launched searches terminate inside watchdog + slack.
-    for (std::size_t i = 0; i < search_records.size(); ++i) {
-      const auto& rec = search_records[i];
-      if (rec.launched && !rec.done &&
-          now - rec.started > search_config.watchdog + 500ms) {
-        violate("invariant E: search " + std::to_string(i) +
-                " still running past its watchdog");
-      }
-    }
-    // Mirror this tick into the event log: fault-window transitions, then
-    // the control snapshot (partition flag first — the verifier's A clock),
-    // then one snapshot per reflector. All pure reads.
-    if (recorder) {
-      const auto& timeline = injector.timeline();
-      for (std::size_t fi = 0; fi < timeline.size(); ++fi) {
-        const sim::FaultInjector::AppliedFault& fault = timeline[fi];
-        if (fault.applied && !fault_logged[fi].first) {
-          fault_logged[fi].first = true;
-          recorder->record(log::EventKind::kFaultOpen,
-                           {{"name_h", log::Recorder::name_hash(fault.name)},
-                            {"start_us", fault.start.count() / 1000},
-                            {"end_us", fault.end.count() / 1000}});
-        }
-        if (fault.cleared && !fault_logged[fi].second) {
-          fault_logged[fi].second = true;
-          recorder->record(log::EventKind::kFaultClose,
-                           {{"name_h", log::Recorder::name_hash(fault.name)},
-                            {"start_us", fault.start.count() / 1000},
-                            {"end_us", fault.end.count() / 1000}});
-        }
-      }
-      recorder->record(
-          log::EventKind::kSnapshotControl,
-          {{"sent", static_cast<std::int64_t>(cs.sent)},
-           {"delivered", static_cast<std::int64_t>(cs.delivered)},
-           {"dropped", static_cast<std::int64_t>(cs.dropped)},
-           {"undeliv", static_cast<std::int64_t>(cs.undeliverable)},
-           {"in_flight", static_cast<std::int64_t>(cs.in_flight)},
-           {"part", control.partitioned() ? 1 : 0}});
-      const core::ReflectorConfigAgent* ragents[2] = {&agent0, &agent1};
-      for (int i = 0; i < 2; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        recorder->record(
-            log::EventKind::kSnapshotReflector,
-            {{"r", i},
-             {"gain",
-              static_cast<std::int64_t>(reflectors[i]->front_end().gain_code())},
-             {"safe_code",
-              static_cast<std::int64_t>(ragents[i]->safe_gain_code())},
-             {"safe_mode", ragents[i]->in_safe_mode() ? 1 : 0},
-             {"stable", stable_flags[i] ? 1 : 0},
-             {"div_age_us", plane.divergence_age(idx, now).count() / 1000},
-             {"plane_part", plane.partitioned(idx) ? 1 : 0}});
-      }
+    recorder.record(log::EventKind::kSnapshotControl,
+                    {{"sent", static_cast<std::int64_t>(cs.sent)},
+                     {"delivered", static_cast<std::int64_t>(cs.delivered)},
+                     {"dropped", static_cast<std::int64_t>(cs.dropped)},
+                     {"undeliv", static_cast<std::int64_t>(cs.undeliverable)},
+                     {"in_flight", static_cast<std::int64_t>(cs.in_flight)},
+                     {"part", control.partitioned() ? 1 : 0}});
+    for (std::size_t i = 0; i < 2; ++i) {
+      const auto& front_end = reflectors[i]->front_end();
+      const bool stable =
+          front_end.process(scene.reflector_input(*reflectors[i])).stable;
+      recorder.record(
+          log::EventKind::kSnapshotReflector,
+          {{"r", static_cast<std::int64_t>(i)},
+           {"gain", static_cast<std::int64_t>(front_end.gain_code())},
+           {"safe_code",
+            static_cast<std::int64_t>(agents[i]->safe_gain_code())},
+           {"safe_mode", agents[i]->in_safe_mode() ? 1 : 0},
+           {"stable", stable ? 1 : 0},
+           {"div_age_us", plane.divergence_age(i, now).count() / 1000},
+           {"plane_part", plane.partitioned(i) ? 1 : 0}});
     }
   };
+  std::uint64_t ticks = 0;
   for (sim::TimePoint t{20ms}; t < end; t += 20ms) {
-    simulator.at(t, check);
+    simulator.at(t, snapshot);
+    ++ticks;
   }
 
   // --- the session itself: frame transport on, fault accounting on ------
@@ -482,7 +345,7 @@ SeedResult run_seed(std::uint64_t seed, double duration_s,
   session_config.duration = duration;
   session_config.faults = &injector;
   session_config.control_plane = &plane;
-  session_config.recorder = recorder.get();
+  session_config.recorder = &recorder;
   net::TransportConfig transport;
   transport.source.target_mbps = 400.0;
   session_config.transport = transport;
@@ -490,34 +353,31 @@ SeedResult run_seed(std::uint64_t seed, double duration_s,
                       session_config};
   result.report = session.run();
 
-  // --- end-of-run invariants -------------------------------------------
-  if (result.report.transport && !result.report.transport->conserved()) {
-    result.violations.push_back(
-        {end, "invariant D: transport packet ledger does not close"});
-  }
-  for (std::size_t i = 0; i < search_records.size(); ++i) {
-    const auto& rec = search_records[i];
-    if (!rec.launched) {
-      continue;
-    }
-    if (!rec.done) {
-      result.violations.push_back(
-          {end, "invariant E: search " + std::to_string(i) +
-                    " never terminated"});
-    } else if (!rec.completed && rec.reason.empty()) {
-      result.violations.push_back(
-          {end, "invariant E: search " + std::to_string(i) +
-                    " failed without a reason"});
-    }
-  }
-
   result.channel = control.stats();
   result.incidents = plane.incidents();
 
-  // Seal the log: log_close carries the record count, then the whole
-  // buffer hits disk in one shot (byte-stable across identical runs).
-  if (recorder) {
-    recorder->close();
+  // Seal the log: log_close carries the record count, then (with
+  // --event-log) the whole buffer hits disk in one shot, byte-stable
+  // across identical runs.
+  recorder.close();
+
+  // --- the verdict: invariants A-E replayed from the log's bytes --------
+  const log::VerifyReport verdict =
+      log::verify_log(log::parse_log(recorder.buffer()), "");
+  result.violations = verdict.chain_issues;
+  result.violations.insert(result.violations.end(),
+                           verdict.invariant_issues.begin(),
+                           verdict.invariant_issues.end());
+  result.ticks_checked = verdict.control_snapshots;
+  if (!verdict.has_params || verdict.control_snapshots < ticks ||
+      verdict.reflector_snapshots < 2 * ticks ||
+      verdict.searches < searches.size()) {
+    result.thin = std::to_string(verdict.control_snapshots) + " control / " +
+                  std::to_string(verdict.reflector_snapshots) +
+                  " reflector snapshots over " + std::to_string(ticks) +
+                  " ticks, " + std::to_string(verdict.searches) + " of " +
+                  std::to_string(searches.size()) + " searches logged" +
+                  (verdict.has_params ? "" : ", no params record");
   }
 
   // Fingerprint: a replayed seed must reproduce this hash exactly.
@@ -556,7 +416,7 @@ void print_usage() {
       "  --disable-watchdog   tripwire: reflector silence watchdogs off;\n"
       "                       the gain-<=-leakage invariant must fire\n"
       "  --expect-violation   exit 0 only if a violation WAS observed\n"
-      "  --event-log DIR      record each seed's signed event log to\n"
+      "  --event-log DIR      also write each seed's signed event log to\n"
       "                       DIR/seed<N>.log (verify offline with\n"
       "                       tools/log_verify)\n"
       "  --json PATH          write a machine-readable summary to PATH\n\n"
@@ -601,23 +461,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::uint64_t> seed_list;
-  if (have_single_seed) {
-    seed_list.push_back(single_seed);
-  } else {
-    for (int s = 1; s <= seeds; ++s) {
-      seed_list.push_back(static_cast<std::uint64_t>(s));
-    }
-  }
+  const std::vector<std::uint64_t> seed_list =
+      bench::seed_list(have_single_seed, single_seed, seeds);
 
-  if (!event_log_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(event_log_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create --event-log dir %s: %s\n",
-                   event_log_dir.c_str(), ec.message().c_str());
-      return 2;
-    }
+  if (!event_log_dir.empty() && !bench::make_dir(event_log_dir)) {
+    return 2;
   }
 
   bench::print_header("Chaos soak — control-plane invariants under fire");
@@ -626,6 +474,7 @@ int main(int argc, char** argv) {
               "reord", "srch", "fingerprint", "viol");
 
   std::uint64_t total_violations = 0;
+  std::uint64_t thin_logs = 0;
   bench::Json rows = bench::Json::array();
   for (const std::uint64_t seed : seed_list) {
     const SeedResult r =
@@ -644,11 +493,16 @@ int main(int argc, char** argv) {
                                         r.channel.corrupted_delivered),
         static_cast<unsigned long long>(r.channel.reordered), r.searches,
         bench::fingerprint_hex(r.fingerprint).c_str(), r.violations.size());
-    for (const Violation& v : r.violations) {
-      std::printf("  VIOLATION t=%.3fs %s\n", sim::to_seconds(v.at),
-                  v.what.c_str());
+    for (const log::Issue& v : r.violations) {
+      std::printf("  VIOLATION seq=%lld t=%.3fs %s\n",
+                  static_cast<long long>(v.seq),
+                  static_cast<double>(v.t_us) / 1e6, v.what.c_str());
     }
-    if (!r.violations.empty()) {
+    if (!r.thin.empty()) {
+      std::printf("  THIN LOG: %s\n", r.thin.c_str());
+      ++thin_logs;
+    }
+    if (!r.violations.empty() || !r.thin.empty()) {
       bench::print_replay("chaos_soak", r.seed, duration_s,
                           disable_watchdog ? " --disable-watchdog" : "");
     }
@@ -677,14 +531,20 @@ int main(int argc, char** argv) {
         .set("watchdog", !disable_watchdog)
         .set("event_log", !event_log_dir.empty())
         .set("total_violations", total_violations)
-        .set("pass", expect_violation ? total_violations > 0
-                                      : total_violations == 0)
+        .set("pass", thin_logs == 0 && (expect_violation
+                                            ? total_violations > 0
+                                            : total_violations == 0))
         .set("rows", std::move(rows));
     if (!bench::emit_json(json_path, doc)) {
       return 1;
     }
   }
 
+  if (thin_logs > 0) {
+    std::printf("\nFAIL: %llu seed log(s) too thin to prove the invariants\n",
+                static_cast<unsigned long long>(thin_logs));
+    return 1;
+  }
   if (expect_violation) {
     if (total_violations == 0) {
       std::printf("\nFAIL: expected at least one invariant violation, saw "

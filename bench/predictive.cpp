@@ -50,6 +50,8 @@
 namespace {
 
 using namespace movr;
+using bench::fingerprint_mix;
+using bench::uniform;
 using geom::deg_to_rad;
 using namespace std::chrono_literals;
 
@@ -65,15 +67,6 @@ struct ArmResult {
   std::uint64_t ledger_violations{0};
   std::uint64_t fingerprint{0};
 };
-
-double uniform(std::mt19937_64& g, double lo, double hi) {
-  return std::uniform_real_distribution<double>{lo, hi}(g);
-}
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
 
 /// The person stands still for the whole session; the *headset* does the
 /// moving (the blockage is motion-induced, which is what makes it
@@ -196,25 +189,25 @@ ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
 
   const net::TransportMetrics& m = *result.report.transport;
   std::uint64_t h = sim::fnv1a("predictive");
-  h = mix(h, seed);
-  h = mix(h, static_cast<std::uint64_t>(arm));
-  h = mix(h, m.frames_emitted);
-  h = mix(h, m.deadline_misses);
-  h = mix(h, m.packets_enqueued);
-  h = mix(h, m.packets_delivered);
-  h = mix(h, m.packets_dropped);
-  h = mix(h, m.packets_recovered_delivered);
-  h = mix(h, m.speculative_enqueued);
-  h = mix(h, m.speculative_dups);
-  h = mix(h, m.speculative_saves);
-  h = mix(h, m.retransmits);
-  h = mix(h, result.report.glitched_frames);
+  h = fingerprint_mix(h, seed);
+  h = fingerprint_mix(h, static_cast<std::uint64_t>(arm));
+  h = fingerprint_mix(h, m.frames_emitted);
+  h = fingerprint_mix(h, m.deadline_misses);
+  h = fingerprint_mix(h, m.packets_enqueued);
+  h = fingerprint_mix(h, m.packets_delivered);
+  h = fingerprint_mix(h, m.packets_dropped);
+  h = fingerprint_mix(h, m.packets_recovered_delivered);
+  h = fingerprint_mix(h, m.speculative_enqueued);
+  h = fingerprint_mix(h, m.speculative_dups);
+  h = fingerprint_mix(h, m.speculative_saves);
+  h = fingerprint_mix(h, m.retransmits);
+  h = fingerprint_mix(h, result.report.glitched_frames);
   if (result.report.predictive.has_value()) {
     const vr::PredictiveLinkStats& p = *result.report.predictive;
-    h = mix(h, static_cast<std::uint64_t>(p.risk_windows));
-    h = mix(h, static_cast<std::uint64_t>(p.proactive_handovers));
-    h = mix(h, static_cast<std::uint64_t>(p.mispredictions));
-    h = mix(h, static_cast<std::uint64_t>(p.chaos_garbled));
+    h = fingerprint_mix(h, static_cast<std::uint64_t>(p.risk_windows));
+    h = fingerprint_mix(h, static_cast<std::uint64_t>(p.proactive_handovers));
+    h = fingerprint_mix(h, static_cast<std::uint64_t>(p.mispredictions));
+    h = fingerprint_mix(h, static_cast<std::uint64_t>(p.chaos_garbled));
   }
   result.fingerprint = h;
   return result;
@@ -268,14 +261,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::uint64_t> seed_list;
-  if (have_single_seed) {
-    seed_list.push_back(single_seed);
-  } else {
-    for (int s = 1; s <= seeds; ++s) {
-      seed_list.push_back(static_cast<std::uint64_t>(s));
-    }
-  }
+  const std::vector<std::uint64_t> seed_list =
+      bench::seed_list(have_single_seed, single_seed, seeds);
 
   bench::print_header(
       "Predictive link control — forecast blockage, hand over before it "

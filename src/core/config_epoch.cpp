@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include <geom/angle.hpp>
 #include <hw/dac.hpp>
@@ -22,14 +20,6 @@ bool valid_gain_payload(double value) {
 
 bool valid_epoch_payload(double value) {
   return std::isfinite(value) && value >= 0.0 && value <= 4.0e9;
-}
-
-// MOVR_CP_DEBUG=1 traces every commit decision and digest comparison to
-// stderr — the tool that caught the commit/field reorder livelock the
-// pending-commit stage now prevents.
-bool trace_enabled() {
-  static const bool enabled = std::getenv("MOVR_CP_DEBUG") != nullptr;
-  return enabled;
 }
 
 }  // namespace
@@ -216,18 +206,6 @@ void ReflectorConfigAgent::enter_safe_mode(bool oscillation) {
 }
 
 void ReflectorConfigAgent::apply_commit(const sim::ControlMessage& message) {
-  if (trace_enabled()) {
-    std::fprintf(
-        stderr,
-        "[%9.4f] %s commit seq=%llu applied=%llu staged(seq=%llu rx=%d tx=%d "
-        "gain=%d)\n",
-        sim::to_seconds(simulator_.now()), reflector_.control_name().c_str(),
-        static_cast<unsigned long long>(message.seq),
-        static_cast<unsigned long long>(applied_seq_),
-        static_cast<unsigned long long>(staged_.seq),
-        staged_.rx.has_value(), staged_.tx.has_value(),
-        staged_.gain.has_value());
-  }
   if (message.seq <= applied_seq_ || message.seq < staged_.seq) {
     // A reordered or replayed commit from an attempt that is already
     // applied or already superseded; re-ack so the AP's retry logic
@@ -579,17 +557,6 @@ void ControlPlane::on_digest(std::size_t slot,
       message.value <= 4.0e9 &&
       static_cast<std::uint32_t>(std::llround(message.value)) ==
           m.expected_digest;
-  if (trace_enabled()) {
-    std::fprintf(stderr,
-                 "[%9.4f] %s digest %s got=%.0f want=%u (rx=%.6f gain=%u "
-                 "seq=%llu boot=%u) awaiting_ack=%d\n",
-                 sim::to_seconds(simulator_.now()), m.endpoint.c_str(),
-                 matches ? "match" : "MISMATCH", message.value,
-                 m.expected_digest, m.last_epoch.rx_angle,
-                 m.last_epoch.gain_code,
-                 static_cast<unsigned long long>(m.expected_seq), m.boot_epoch,
-                 m.awaiting_ack);
-  }
   if (matches) {
     m.divergent = false;
     return;
@@ -619,16 +586,6 @@ sim::Duration ControlPlane::divergence_age(std::size_t index,
     return sim::Duration{0};
   }
   return now - managed_[slot].divergent_since;
-}
-
-sim::Duration ControlPlane::max_divergence_age(sim::TimePoint now) const {
-  sim::Duration worst{0};
-  for (const auto& m : managed_) {
-    if (m.divergent && !m.partitioned) {
-      worst = std::max(worst, now - m.divergent_since);
-    }
-  }
-  return worst;
 }
 
 ControlPlaneIncidents ControlPlane::incidents() const {

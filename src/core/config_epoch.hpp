@@ -244,9 +244,6 @@ class ControlPlane {
   void stop() { running_ = false; }
 
   bool partitioned(std::size_t index) const;
-  /// Oldest unreconciled divergence age across reachable (unpartitioned)
-  /// reflectors — the chaos soak's reconciliation-bound invariant input.
-  sim::Duration max_divergence_age(sim::TimePoint now) const;
   /// Age of reflector `index`'s open divergence episode (zero when its
   /// digest matches), regardless of partition state.
   sim::Duration divergence_age(std::size_t index, sim::TimePoint now) const;

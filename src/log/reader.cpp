@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <limits>
 
 namespace movr::log {
 
@@ -41,6 +42,8 @@ std::optional<EventKind> kind_from_name(std::string_view name) {
   return std::nullopt;
 }
 
+/// Strict decimal int64: rejects anything outside [INT64_MIN, INT64_MAX]
+/// instead of wrapping it.
 bool parse_i64(std::string_view text, std::int64_t& out) {
   if (text.empty()) {
     return false;
@@ -54,16 +57,23 @@ bool parse_i64(std::string_view text, std::int64_t& out) {
       return false;
     }
   }
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+      (negative ? 1U : 0U);
   std::uint64_t magnitude = 0;
   for (; i < text.size(); ++i) {
     const char c = text[i];
     if (c < '0' || c > '9') {
       return false;
     }
-    magnitude = magnitude * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (magnitude > (limit - digit) / 10) {
+      return false;
+    }
+    magnitude = magnitude * 10 + digit;
   }
-  out = negative ? -static_cast<std::int64_t>(magnitude)
-                 : static_cast<std::int64_t>(magnitude);
+  // Negate in unsigned arithmetic: -2^63 has no positive int64 twin.
+  out = static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
   return true;
 }
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <limits>
 #include <map>
+#include <optional>
 
 #include <log/recorder.hpp>
 
@@ -18,6 +21,45 @@ std::string i64_str(std::int64_t v) {
 
 Issue issue_at(const ParsedRecord& record, std::string what) {
   return {record.seq, record.t_us, std::move(what)};
+}
+
+// Every value below comes from untrusted bytes, so bound and time
+// arithmetic saturates at the int64 range instead of overflowing.
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+
+std::int64_t sat_add(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  if (__builtin_add_overflow(a, b, &out)) {
+    return a > 0 ? kMax : kMin;
+  }
+  return out;
+}
+
+/// Elapsed time `later - earlier`, saturated.
+std::int64_t sat_sub(std::int64_t later, std::int64_t earlier) {
+  std::int64_t out = 0;
+  if (__builtin_sub_overflow(later, earlier, &out)) {
+    return earlier < 0 ? kMax : kMin;
+  }
+  return out;
+}
+
+/// Exact sum of a ledger's closing buckets; nullopt when it leaves the
+/// int64 range, which no real ledger reaches (so it cannot close).
+std::optional<std::int64_t> ledger_sum(
+    std::initializer_list<std::int64_t> buckets) {
+  std::int64_t sum = 0;
+  for (const std::int64_t bucket : buckets) {
+    if (__builtin_add_overflow(sum, bucket, &sum)) {
+      return std::nullopt;
+    }
+  }
+  return sum;
+}
+
+std::string ledger_str(const std::optional<std::int64_t>& sum) {
+  return sum.has_value() ? i64_str(*sum) : "out of int64 range";
 }
 
 /// Soak-invariant bounds, read from the log's params record.
@@ -132,8 +174,10 @@ VerifyReport verify_log(const ParsedLog& log, std::string_view key) {
   Params params;
   bool partitioned = false;
   std::int64_t partition_since_us = 0;
-  std::vector<ReflectorWatch> reflectors;
-  std::vector<LeaseWatch> leases;
+  // Keyed by the records' own reflector index, which is untrusted: a map
+  // never sizes anything from it.
+  std::map<std::int64_t, ReflectorWatch> reflectors;
+  std::map<std::int64_t, LeaseWatch> leases;
   std::map<std::int64_t, SearchWatch> searches;
   bool risk_open = false;
   bool spec_armed = false;
@@ -155,23 +199,19 @@ VerifyReport verify_log(const ParsedLog& log, std::string_view key) {
         params.tick_us = record.field("tick_us");
         params.revoke_grace_us = record.field("revoke_grace_us");
         report.has_params = true;
-        reflectors.resize(
-            static_cast<std::size_t>(std::max<std::int64_t>(
-                record.field("reflectors"), 0)));
         break;
       }
       case EventKind::kSnapshotControl: {
         ++report.control_snapshots;
         // D: the control-channel ledger closes on every tick.
         const std::int64_t sent = record.field("sent");
-        const std::int64_t closed = record.field("delivered") +
-                                    record.field("dropped") +
-                                    record.field("undeliv") +
-                                    record.field("in_flight");
-        if (sent != closed) {
+        const std::optional<std::int64_t> closed =
+            ledger_sum({record.field("delivered"), record.field("dropped"),
+                        record.field("undeliv"), record.field("in_flight")});
+        if (closed != sent) {
           violate(record, "invariant D: control ledger open (sent " +
                               i64_str(sent) + " != closed " +
-                              i64_str(closed) + ")");
+                              ledger_str(closed) + ")");
         }
         // A's clock: partition episodes are tracked from the control flag.
         if (record.field("part") != 0) {
@@ -181,26 +221,21 @@ VerifyReport verify_log(const ParsedLog& log, std::string_view key) {
           }
         } else {
           partitioned = false;
-          for (ReflectorWatch& w : reflectors) {
-            w.floor_reported = false;
+          for (auto& entry : reflectors) {
+            entry.second.floor_reported = false;
           }
         }
         break;
       }
       case EventKind::kSnapshotReflector: {
         ++report.reflector_snapshots;
-        const auto r = static_cast<std::size_t>(
-            std::max<std::int64_t>(record.field("r"), 0));
-        if (r >= reflectors.size()) {
-          reflectors.resize(r + 1);
-        }
-        ReflectorWatch& w = reflectors[r];
         if (!report.has_params) {
           break;  // no bounds: chain + ledger checks only
         }
+        ReflectorWatch& w = reflectors[record.field("r")];
         // A: partition outlasting the grace => gain at/below the floor.
         if (partitioned &&
-            record.t_us - partition_since_us > params.grace_us &&
+            sat_sub(record.t_us, partition_since_us) > params.grace_us &&
             record.field("gain") > record.field("safe_code") &&
             !w.floor_reported) {
           w.floor_reported = true;
@@ -217,12 +252,12 @@ VerifyReport verify_log(const ParsedLog& log, std::string_view key) {
             w.unstable = true;
             w.unstable_since_us = record.t_us;
           }
-          if (record.t_us - w.unstable_since_us > params.osc_us) {
+          if (sat_sub(record.t_us, w.unstable_since_us) > params.osc_us) {
             violate(record,
                     "invariant B: reflector " + i64_str(record.field("r")) +
                         " oscillating for more than " +
                         i64_str(params.osc_us) + " us");
-            w.unstable_since_us = record.t_us;  // rate-limit, like the soak
+            w.unstable_since_us = record.t_us;  // rate-limit repeats
           }
         } else {
           w.unstable = false;
@@ -248,14 +283,14 @@ VerifyReport verify_log(const ParsedLog& log, std::string_view key) {
         ++report.transport_snapshots;
         // D: the transport packet ledger closes.
         const std::int64_t enq = record.field("enqueued");
-        const std::int64_t closed =
-            record.field("delivered") + record.field("dropped") +
-            record.field("recovered") + record.field("spec_dup") +
-            record.field("in_flight");
-        if (enq != closed) {
+        const std::optional<std::int64_t> closed = ledger_sum(
+            {record.field("delivered"), record.field("dropped"),
+             record.field("recovered"), record.field("spec_dup"),
+             record.field("in_flight")});
+        if (closed != enq) {
           violate(record, "invariant D: transport ledger open (enqueued " +
-                              i64_str(enq) + " != closed " + i64_str(closed) +
-                              ")");
+                              i64_str(enq) + " != closed " +
+                              ledger_str(closed) + ")");
         }
         break;
       }
@@ -277,9 +312,10 @@ VerifyReport verify_log(const ParsedLog& log, std::string_view key) {
         }
         it->second.done = true;
         if (report.has_params) {
-          const std::int64_t bound =
-              params.watchdog_us + params.slack_us + params.tick_us;
-          const std::int64_t took = record.t_us - it->second.launched_us;
+          const std::int64_t bound = sat_add(
+              sat_add(params.watchdog_us, params.slack_us), params.tick_us);
+          const std::int64_t took =
+              sat_sub(record.t_us, it->second.launched_us);
           if (took > bound) {
             violate(record, "invariant E: search " +
                                 i64_str(record.field("id")) + " took " +
@@ -300,12 +336,7 @@ VerifyReport verify_log(const ParsedLog& log, std::string_view key) {
         if (!report.has_params || params.revoke_grace_us <= 0) {
           break;  // not an arena-coordinator log: no liveness bound
         }
-        const auto r = static_cast<std::size_t>(
-            std::max<std::int64_t>(record.field("r"), 0));
-        if (r >= leases.size()) {
-          leases.resize(r + 1);
-        }
-        LeaseWatch& w = leases[r];
+        LeaseWatch& w = leases[record.field("r")];
         // F: a quarantined device must shed its lease within the
         // revocation grace — a holder surviving past it means failover
         // never ran (or the watchdog lost the orphan).
@@ -316,15 +347,14 @@ VerifyReport verify_log(const ParsedLog& log, std::string_view key) {
             w.held_quarantined = true;
             w.since_us = record.t_us;
           }
-          if (record.t_us - w.since_us > params.revoke_grace_us &&
-              !w.reported) {
+          const std::int64_t held_us = sat_sub(record.t_us, w.since_us);
+          if (held_us > params.revoke_grace_us && !w.reported) {
             w.reported = true;
             violate(record,
                     "invariant F: reflector " + i64_str(record.field("r")) +
                         " still leased to user " +
                         i64_str(record.field("holder")) +
-                        " while quarantined for " +
-                        i64_str(record.t_us - w.since_us) +
+                        " while quarantined for " + i64_str(held_us) +
                         " us, past the revocation grace (" +
                         i64_str(params.revoke_grace_us) + " us)");
           }

@@ -1,6 +1,9 @@
-// Offline verification of session event logs: chain integrity first,
-// then the chaos-soak and arena safety invariants replayed from the
-// records alone — zero simulator re-execution.
+// Verification of session event logs: chain integrity first, then the
+// chaos-soak and arena safety invariants replayed from the records alone —
+// zero simulator re-execution. This is the only implementation of
+// invariants A-G: bench/chaos_soak and bench/arena_chaos record every run
+// into an in-memory Recorder and gate on verify_log over its bytes, and
+// tools/log_verify runs the same pass over files.
 //
 // The chain pass is strict and fail-fast: the first record whose seq does
 // not advance by exactly one (a drop or a reorder), or whose chain hash
@@ -8,8 +11,10 @@
 // the "detectable at the first bad record" property the recorder's chain
 // rule promises. A log whose last record is not log_close is truncated.
 //
-// The invariant pass mirrors bench/chaos_soak's 20 ms watcher machine,
-// driven by the per-tick snapshot records instead of live objects:
+// The invariant pass is driven by the per-tick snapshot records. A, C and
+// F report once per reflector per episode (a partition, a divergence, a
+// quarantine) and B once per oscillation bound of sustained instability,
+// not once per snapshot:
 //
 //   A  snapshot_control carries the partition flag; once a partition's age
 //      exceeds the grace bound, every snapshot_reflector must show
@@ -23,8 +28,10 @@
 //      (enqueued == delivered + dropped + recovered + spec_dup +
 //      in_flight).
 //   E  every search_launch pairs with a search_done inside the watchdog
-//      budget (+ one tick of offline quantisation grace), failures carry a
-//      reason, and nothing is left running at log_close.
+//      budget plus one snapshot tick of grace (the soak's former live
+//      watcher had no such grace; the tick absorbs snapshot
+//      quantisation), failures carry a reason, and nothing is left
+//      running at log_close.
 //   F  lease liveness (arena-coordinator logs, i.e. params carries
 //      revoke_grace_us): no snapshot_lease may show a lease held on a
 //      quarantined reflector beyond the revocation grace — the proof
@@ -35,7 +42,10 @@
 //
 // Bounds come from the log's own params record, so logs are
 // self-describing; logs without params (e.g. arena per-user streams) get
-// the chain + ledger-closure + pairing checks only.
+// the chain + ledger-closure + pairing checks only. Every number is
+// untrusted: the reader rejects values outside int64, and the pass
+// saturates its time arithmetic and treats a ledger sum past int64 as
+// open.
 #pragma once
 
 #include <cstdint>

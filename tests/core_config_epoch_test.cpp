@@ -66,7 +66,7 @@ TEST(ConfigEpoch, CommitAppliesAtomicallyAndAcks) {
   EXPECT_GE(rig.plane.stats().acks_received, 1u);
   // Digest agreement: nothing diverged, nothing to reconcile.
   EXPECT_EQ(rig.plane.stats().divergences_detected, 0u);
-  EXPECT_EQ(rig.plane.max_divergence_age(rig.s.now()), sim::Duration{0});
+  EXPECT_EQ(rig.plane.divergence_age(0, rig.s.now()), sim::Duration{0});
 }
 
 TEST(ConfigEpoch, CommitWithoutFieldsDoesNotApply) {
@@ -197,7 +197,7 @@ TEST(ControlPlane, DigestCatchesSilentRegisterDivergence) {
   // The reconciliation replay restored the committed epoch...
   EXPECT_EQ(rig.reflector.front_end().gain_code(), 90u);
   // ...and the divergence closed (age back to zero).
-  EXPECT_EQ(rig.plane.max_divergence_age(rig.s.now()), sim::Duration{0});
+  EXPECT_EQ(rig.plane.divergence_age(0, rig.s.now()), sim::Duration{0});
 }
 
 TEST(ControlPlane, PartitionIsDetectedQuarantinedAndHealed) {
@@ -219,9 +219,9 @@ TEST(ControlPlane, PartitionIsDetectedQuarantinedAndHealed) {
   EXPECT_TRUE(rig.plane.partitioned(0));
   EXPECT_TRUE(health.quarantined(0));
   EXPECT_EQ(rig.plane.stats().partitions_entered, 1u);
-  // Partitioned reflectors are excluded from the divergence-age bound
-  // (nothing can reach them until the partition heals).
-  EXPECT_EQ(rig.plane.max_divergence_age(rig.s.now()), sim::Duration{0});
+  // A partition alone opens no divergence episode: no digest reply can
+  // arrive to mismatch until the partition heals.
+  EXPECT_EQ(rig.plane.divergence_age(0, rig.s.now()), sim::Duration{0});
 
   rig.channel.apply_partition(-1);
   rig.s.run_until(rig.s.now() + sim::Duration{600'000'000});
@@ -248,7 +248,7 @@ TEST(ControlPlane, RebootIsDetectedAndEpochReplayed) {
   // The replay re-applied the committed epoch on the newborn reflector.
   EXPECT_EQ(rig.reflector.front_end().gain_code(), 90u);
   EXPECT_NEAR(rig.reflector.front_end().rx_array().steering(), 1.1, 1e-12);
-  EXPECT_EQ(rig.plane.max_divergence_age(rig.s.now()), sim::Duration{0});
+  EXPECT_EQ(rig.plane.divergence_age(0, rig.s.now()), sim::Duration{0});
 }
 
 TEST(ControlPlane, IncidentCountersAggregateAgentSide) {

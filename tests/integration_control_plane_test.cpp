@@ -126,7 +126,7 @@ TEST(ControlPlaneIntegration, PartitionSafeModeDegradedThenReconciled) {
   EXPECT_EQ(reflector.front_end().gain_code(), calibrated_gain);
   EXPECT_EQ(strategy.manager().mode(),
             core::LinkManager::Mode::kViaReflector);
-  EXPECT_EQ(plane.max_divergence_age(simulator.now()), sim::Duration{0});
+  EXPECT_EQ(plane.divergence_age(0, simulator.now()), sim::Duration{0});
 
   const core::ControlPlaneIncidents incidents = plane.incidents();
   EXPECT_GE(incidents.partitions_entered, 1u);
