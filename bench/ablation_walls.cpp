@@ -53,9 +53,9 @@ int main() {
       scene.headset().node().set_position(pos);
       scene.room().add_obstacle(channel::make_hand(
           pos, scene.ap().node().position() - pos));
-      auto paths = scene.paths_between(scene.ap().node().position(), pos);
+      const auto paths = scene.paths_view(scene.ap().node().position(), pos);
       const auto sweep = phy::sweep_all_directions(
-          scene.ap().node(), scene.headset().node(), paths,
+          scene.ap().node(), scene.headset().node(), *paths,
           scene.config().link, /*nlos_only=*/true);
       snrs.push_back(sweep.snr.value());
       ok += sweep.snr.value() >= required_snr;

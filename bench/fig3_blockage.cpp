@@ -80,10 +80,10 @@ int main() {
     // Opt. NLOS: person stays up; sweep every combination of beam angle in
     // all directions (coarse 3 deg over all face pairs, 1 deg refinement),
     // ignoring the LOS.
-    auto paths = scene.paths_between(ap, pos);
+    const auto paths = scene.paths_view(ap, pos);
     const auto sweep =
         phy::sweep_all_directions(scene.ap().node(), scene.headset().node(),
-                                  paths, scene.config().link,
+                                  *paths, scene.config().link,
                                   /*nlos_only=*/true);
     record(nlos, sweep.snr.value());
     scene.room().remove_obstacles("person");

@@ -98,11 +98,11 @@ int main(int argc, char** argv) {
     //    beam directions, LOS excluded (Opt. NLOS).
     const geom::Vec2 ap = scene.ap().node().position();
     scene.room().add_obstacle(channel::make_hand(pos, ap - pos));
-    auto paths = scene.paths_between(ap, pos);
+    const auto paths = scene.paths_view(ap, pos);
     const double ap_mount = scene.ap().node().orientation();
     const auto sweep =
         phy::sweep_all_directions(scene.ap().node(), scene.headset().node(),
-                                  paths, scene.config().link,
+                                  *paths, scene.config().link,
                                   /*nlos_only=*/true);
     const double nlos = sweep.snr.value();
     // Restore the AP's physical mount for the MoVR phase (the sweep is a

@@ -4,22 +4,22 @@
 //
 // Beyond the standard google-benchmark cases, `--json PATH` runs the
 // batch-vs-scalar comparison summary: the coverage-grid path query through
-// the scalar APIs (solve() / paths_between() per pair) against the SoA
-// batch stack (solve_batch / query_batch), with a bit-identity cross-check
-// and a hard gate on the warmed oracle speedup (DESIGN.md §11 promises
-// >= 10x). The summary writes the BENCH_microbench.json artifact via the
-// shared bench::Json emitter; CI regenerates and uploads it.
+// the scalar APIs (solve() / a deep copy of paths_view() per pair) against
+// the batch stack (solve_batch / query_batch), with a bit-identity
+// cross-check and a hard gate on the warmed oracle speedup (DESIGN.md §11
+// promises >= 10x). The summary writes the BENCH_microbench.json artifact
+// via the shared bench::Json emitter; CI regenerates and uploads it.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <channel/path_batch.hpp>
 #include <channel/path_solver.hpp>
-#include <channel/ray_tracer.hpp>
 #include <core/channel_oracle.hpp>
 #include <core/coverage.hpp>
 #include <core/movr.hpp>
@@ -88,20 +88,10 @@ void BM_ArraySteer(benchmark::State& state) {
 }
 BENCHMARK(BM_ArraySteer);
 
-void BM_RayTrace(benchmark::State& state) {
-  const auto room = channel::Room::paper_office();
-  const channel::RayTracer tracer{room};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tracer.trace({0.4, 0.4}, {3.3, 2.7}));
-  }
-}
-BENCHMARK(BM_RayTrace);
-
 // The three tiers of the path-query stack, same endpoints throughout.
-// Uncached: build the wall-image tree from scratch every call (what the
-// seed's per-cell RayTracer construction paid). Solver: images precomputed
-// once, solve per call. Cached: the scene's revisioned oracle memoises the
-// whole answer.
+// Uncached: build the wall-image tree from scratch every call. Solver:
+// images precomputed once, solve per call. Cached: the scene's revisioned
+// oracle memoises the whole answer.
 void BM_PathQueryUncached(benchmark::State& state) {
   const auto room = channel::Room::paper_office();
   for (auto _ : state) {
@@ -124,17 +114,17 @@ void BM_PathQueryCached(benchmark::State& state) {
   const auto scene = make_scene();
   scene.reset_oracle_stats();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scene.paths_between({0.4, 0.4}, {3.3, 2.7}));
+    benchmark::DoNotOptimize(scene.paths_view({0.4, 0.4}, {3.3, 2.7}));
   }
   state.counters["hit_rate"] = scene.oracle_stats().hit_rate();
 }
 BENCHMARK(BM_PathQueryCached);
 
 // Batch-vs-scalar: the same coverage grid through each tier of the stack.
-// Scalar solver = solve() per pair (AoS result, heap per call); batch
-// solver = one solve_batch into recycled SoA storage. Scalar oracle = the
-// historical paths_between deep copy per pair on a warm cache; batch
-// oracle = query_batch borrowed views under one lock.
+// Scalar solver = solve() per pair (fresh vectors, heap per call); batch
+// solver = one solve_batch into recycled Path slots. Scalar oracle = a deep
+// copy of paths_view per pair on a warm cache; batch oracle = query_batch
+// borrowed views under one lock.
 void BM_PathQueryScalarGrid(benchmark::State& state) {
   const auto room = channel::Room::paper_office();
   const channel::PathSolver solver{room};
@@ -167,11 +157,12 @@ void BM_PathQueryOracleScalarGrid(benchmark::State& state) {
   const core::ChannelOracle oracle{room};
   const auto grid = coverage_grid_endpoints(room);
   for (std::size_t q = 0; q < grid.size(); ++q) {
-    oracle.paths_between(grid.a(q), grid.b(q));  // warm the cache
+    oracle.paths_view(grid.a(q), grid.b(q));  // warm the cache
   }
   for (auto _ : state) {
     for (std::size_t q = 0; q < grid.size(); ++q) {
-      benchmark::DoNotOptimize(oracle.paths_between(grid.a(q), grid.b(q)));
+      benchmark::DoNotOptimize(
+          std::vector<channel::Path>{*oracle.paths_view(grid.a(q), grid.b(q))});
     }
   }
   state.counters["queries"] = static_cast<double>(grid.size());
@@ -286,11 +277,11 @@ BENCHMARK(BM_GainControlRamp);
 void BM_BeamSweep21x21(benchmark::State& state) {
   auto scene = make_scene();
   const auto codebook = rf::paper_sector_codebook(5.0);
-  auto paths = scene.paths_between(scene.ap().node().position(),
-                                   scene.headset().node().position());
+  const auto paths = scene.paths_view(scene.ap().node().position(),
+                                      scene.headset().node().position());
   for (auto _ : state) {
     benchmark::DoNotOptimize(phy::sweep_best_beams(
-        scene.ap().node(), scene.headset().node(), paths,
+        scene.ap().node(), scene.headset().node(), *paths,
         scene.config().link, codebook, codebook));
   }
 }
@@ -360,23 +351,17 @@ double ns_per_pass(F&& pass) {
   return elapsed_s * 1e9 / passes;
 }
 
-bool batch_matches_scalar(const channel::PathSolver& solver,
-                          const channel::EndpointBatch& grid,
-                          const channel::PathBatch& batch) {
-  for (std::size_t q = 0; q < grid.size(); ++q) {
-    const std::vector<channel::Path> scalar =
-        solver.solve(grid.a(q), grid.b(q));
-    if (scalar.size() != batch.query_paths(q)) {
+bool same_paths(std::span<const channel::Path> a,
+                std::span<const channel::Path> b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].loss.value() != b[i].loss.value() ||
+        a[i].length_m != b[i].length_m ||
+        a[i].obstruction.value() != b[i].obstruction.value() ||
+        a[i].bounces != b[i].bounces) {
       return false;
-    }
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      const std::size_t p = batch.query_first(q) + i;
-      if (scalar[i].loss.value() != batch.loss_db(p) ||
-          scalar[i].length_m != batch.length_m(p) ||
-          scalar[i].obstruction.value() != batch.obstruction_db(p) ||
-          scalar[i].bounces != batch.bounces(p)) {
-        return false;
-      }
     }
   }
   return true;
@@ -387,15 +372,17 @@ int batch_speedup_summary(const std::string& json_path) {
   const auto grid = coverage_grid_endpoints(room);
   const std::size_t n = grid.size();
 
-  // Solver tier: the raw SoA kernel vs a scalar solve() loop.
+  // Solver tier: the batch kernel vs a scalar solve() loop.
   const channel::PathSolver solver{room};
   channel::PathBatch batch;
   channel::PathSolver::BatchWorkspace ws;
   solver.solve_batch(grid, batch, ws);
-  if (!batch_matches_scalar(solver, grid, batch)) {
-    std::fprintf(stderr,
-                 "microbench: solve_batch diverged from scalar solve()\n");
-    return 1;
+  for (std::size_t q = 0; q < n; ++q) {
+    if (!same_paths(solver.solve(grid.a(q), grid.b(q)), batch.query(q))) {
+      std::fprintf(stderr,
+                   "microbench: solve_batch diverged from scalar solve()\n");
+      return 1;
+    }
   }
   const double solver_scalar_ns = ns_per_pass([&] {
     for (std::size_t q = 0; q < n; ++q) {
@@ -407,23 +394,23 @@ int batch_speedup_summary(const std::string& json_path) {
     benchmark::DoNotOptimize(batch.paths());
   });
 
-  // Oracle tier: warmed query_batch views vs the historical per-cell
-  // paths_between deep copy (what compute_coverage paid before the batch
-  // refactor).
+  // Oracle tier: warmed query_batch views vs a per-cell deep copy of the
+  // cached answer.
   const core::ChannelOracle oracle{room};
   std::vector<core::ChannelOracle::PathsView> views;
   oracle.query_batch(grid, views);
   for (std::size_t q = 0; q < n; ++q) {
-    const auto scalar = oracle.paths_between(grid.a(q), grid.b(q));
-    if (views[q] == nullptr || scalar.size() != views[q]->size()) {
+    if (views[q] == nullptr ||
+        !same_paths(solver.solve(grid.a(q), grid.b(q)), *views[q])) {
       std::fprintf(stderr,
-                   "microbench: query_batch diverged from paths_between\n");
+                   "microbench: query_batch diverged from scalar solve()\n");
       return 1;
     }
   }
   const double oracle_scalar_ns = ns_per_pass([&] {
     for (std::size_t q = 0; q < n; ++q) {
-      benchmark::DoNotOptimize(oracle.paths_between(grid.a(q), grid.b(q)));
+      benchmark::DoNotOptimize(std::vector<channel::Path>{
+          *oracle.paths_view(grid.a(q), grid.b(q))});
     }
   });
   const double oracle_batch_ns = ns_per_pass([&] {
@@ -455,14 +442,14 @@ int batch_speedup_summary(const std::string& json_path) {
   const double solver_speedup = solver_scalar_ns / solver_batch_ns;
   const double oracle_speedup = oracle_scalar_ns / oracle_batch_ns;
 
-  bench::print_header("microbench: batched SoA query stack vs scalar");
+  bench::print_header("microbench: batched query stack vs scalar");
   std::printf("  coverage grid           : %zu queries (0.25 m spacing)\n",
               n);
   std::printf("  solver  scalar loop     : %8.1f ns/query\n",
               solver_scalar_ns / n_d);
   std::printf("  solver  solve_batch     : %8.1f ns/query   (%.2fx)\n",
               solver_batch_ns / n_d, solver_speedup);
-  std::printf("  oracle  paths_between   : %8.1f ns/query (warm)\n",
+  std::printf("  oracle  deep copy       : %8.1f ns/query (warm)\n",
               oracle_scalar_ns / n_d);
   std::printf("  oracle  query_batch     : %8.1f ns/query (warm, %.2fx)\n",
               oracle_batch_ns / n_d, oracle_speedup);

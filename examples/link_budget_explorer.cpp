@@ -5,7 +5,7 @@
 //   $ ./example_link_budget_explorer
 #include <cstdio>
 
-#include <channel/ray_tracer.hpp>
+#include <channel/path_solver.hpp>
 #include <channel/room.hpp>
 #include <geom/angle.hpp>
 #include <phy/link.hpp>
@@ -19,7 +19,7 @@ int main() {
 
   const phy::LinkConfig link{};
   const channel::Room room{8.0, 5.0};
-  const channel::RayTracer tracer{room,
+  const channel::PathSolver solver{room,
                                   {link.carrier_hz, 2, rf::Decibels{60.0}}};
 
   std::printf("carrier %.0f GHz, bandwidth %.2f GHz, noise floor %.1f dBm, "
@@ -38,7 +38,7 @@ int main() {
     phy::RadioNode rx{pos, geom::kPi};
     tx.steer_toward(pos);
     rx.steer_toward(ap);
-    const auto los = tracer.line_of_sight(ap, pos);
+    const auto los = solver.line_of_sight(ap, pos);
     const std::vector<channel::Path> paths{los};
     const rf::DbmPower prx = phy::received_power(tx, rx, paths, link);
     const rf::Decibels snr = prx - phy::link_noise_floor(link);

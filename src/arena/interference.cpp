@@ -1,43 +1,17 @@
 #include <arena/interference.hpp>
 
 #include <cmath>
-#include <vector>
 
 #include <phy/link.hpp>
 #include <phy/radio.hpp>
 
 namespace movr::arena {
 
-namespace {
-
-/// Frequency-averaged power of an emission from `position` into the
-/// victim's headset, over the victim room's ray paths, with an arbitrary
-/// transmit-side response (mirrors core::Scene's file-local hop_power).
-template <typename FTx>
-rf::DbmPower emission_at_headset(const core::Scene& victim,
-                                 geom::Vec2 position, rf::DbmPower tx_power,
-                                 FTx&& tx_response, rf::Decibels extra_loss) {
-  const auto paths =
-      victim.paths_view(position, victim.headset().node().position());
-  std::vector<phy::PathComponent> components;
-  components.reserve(paths->size());
-  for (const channel::Path& path : *paths) {
-    const rf::DbmPower path_power = tx_power - path.loss;
-    const double amplitude = std::sqrt(path_power.milliwatts());
-    components.push_back(
-        {amplitude * tx_response(path.departure_azimuth) *
-             victim.headset().node().response_toward(path.arrival_azimuth),
-         path.length_m});
-  }
-  return phy::wideband_power(components, victim.config().link, extra_loss);
-}
-
-}  // namespace
-
 rf::DbmPower interference_at_headset(const core::Scene& victim,
                                      std::span<const Interferer> aggressors,
                                      const InterferenceConfig& config) {
   double total_mw = 0.0;
+  const phy::RadioNode& headset = victim.headset().node();
   const geom::Vec2 victim_ap = victim.ap().node().position();
   for (const Interferer& aggressor : aggressors) {
     if (aggressor.scene == nullptr || aggressor.scene == &victim) {
@@ -49,10 +23,8 @@ rf::DbmPower interference_at_headset(const core::Scene& victim,
       // A foreign AP transmits concurrently; its beam (steered for its
       // own user) leaks into the victim's aperture over the victim
       // room's paths.
-      const auto paths =
-          victim.paths_view(other_ap, victim.headset().node().position());
-      total_mw += phy::received_power(other.ap().node(),
-                                      victim.headset().node(), *paths,
+      const auto paths = victim.paths_view(other_ap, headset.position());
+      total_mw += phy::received_power(other.ap().node(), headset, *paths,
                                       victim.config().link)
                       .milliwatts();
     }
@@ -66,13 +38,16 @@ rf::DbmPower interference_at_headset(const core::Scene& victim,
       const auto state =
           reflector.front_end().process(other.reflector_input(reflector));
       const auto& tx_array = reflector.front_end().tx_array();
+      const auto paths =
+          victim.paths_view(reflector.position(), headset.position());
       total_mw +=
-          emission_at_headset(
-              victim, reflector.position(), state.output,
+          phy::path_power(
+              state.output, *paths,
               [&](double az) {
                 return phy::array_response(tx_array, reflector.to_local(az));
               },
-              victim.config().rx_side_loss)
+              [&](double az) { return headset.response_toward(az); },
+              victim.config().link, victim.config().rx_side_loss)
               .milliwatts();
     }
   }

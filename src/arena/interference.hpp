@@ -9,7 +9,7 @@
 // aggressor eats orders of magnitude more than one pointed away.
 //
 // No new RF model: aggressor emissions reuse the scene's own array-factor
-// and multipath machinery (phy::received_power / wideband_power over the
+// and multipath machinery (phy::received_power / phy::path_power over the
 // victim room's ray paths), exactly as the in-band signal does. The sum of
 // interference powers is folded into an SNR penalty,
 //

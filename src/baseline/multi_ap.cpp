@@ -17,9 +17,9 @@ rf::Decibels MultiApDeployment::best_snr(core::Scene& scene,
                              scene.ap().node().tx_power()};
     candidate.steer_toward(headset_position);
     scene.headset().node().face_toward(ap_pos);
-    const auto paths = scene.paths_between(ap_pos, headset_position);
+    const auto paths = scene.paths_view(ap_pos, headset_position);
     const rf::Decibels snr = phy::link_snr(candidate, scene.headset().node(),
-                                           paths, scene.config().link);
+                                           *paths, scene.config().link);
     best = std::max(best, snr);
   }
   return best;

@@ -57,10 +57,10 @@ rf::Decibels SlsTrackingStrategy::on_frame() {
     // One SLS: coarse sectors over all faces, then a BRP-like refinement.
     // Airtime is ~1 ms — invisible next to an 11 ms frame, so it is charged
     // as within-frame overhead rather than an outage.
-    const auto paths = scene_.paths_between(
-        scene_.ap().node().position(), scene_.headset().node().position());
+    const auto paths = scene_.paths_view(scene_.ap().node().position(),
+                                         scene_.headset().node().position());
     phy::sweep_all_directions(scene_.ap().node(), scene_.headset().node(),
-                              paths, scene_.config().link,
+                              *paths, scene_.config().link,
                               /*nlos_only=*/false, config_.sector_step_deg,
                               config_.refine_step_deg);
     trained_ = true;
@@ -96,9 +96,9 @@ void NlosSweepStrategy::start_sweep() {
     // first picks the array face toward the AP (coverage selection), then
     // both ends sweep their steerable sector.
     scene_.headset().node().face_toward(scene_.ap().node().position());
-    const auto paths = scene_.paths_between(
-        scene_.ap().node().position(), scene_.headset().node().position());
-    phy::sweep_best_beams(scene_.ap().node(), scene_.headset().node(), paths,
+    const auto paths = scene_.paths_view(scene_.ap().node().position(),
+                                         scene_.headset().node().position());
+    phy::sweep_best_beams(scene_.ap().node(), scene_.headset().node(), *paths,
                           scene_.config().link, codebook_, codebook_);
     sweeping_ = false;
     ever_swept_ = true;

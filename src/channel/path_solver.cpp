@@ -222,34 +222,39 @@ void PathSolver::order_and_trim(std::vector<Candidate>& candidates) const {
                    candidates.end());
 }
 
-Path PathSolver::materialize(const Candidate& c) {
-  Path path;
-  path.departure_azimuth = c.departure;
-  path.arrival_azimuth = c.arrival;
-  path.length_m = c.length_m;
-  path.loss = rf::Decibels{c.loss_db};
-  path.bounces = c.bounces;
-  path.obstruction = rf::Decibels{c.obstruction_db};
-  path.vertices.assign(c.vertices,
-                       c.vertices + static_cast<std::size_t>(c.vertex_count));
-  return path;
+void PathSolver::solve_candidates(geom::Vec2 source, geom::Vec2 destination,
+                                  std::vector<Candidate>& candidates) const {
+  candidates.clear();
+  collect_candidates(source, destination, candidates);
+  order_and_trim(candidates);
+}
+
+void PathSolver::materialize(const Candidate& c, Path& out) {
+  out.departure_azimuth = c.departure;
+  out.arrival_azimuth = c.arrival;
+  out.length_m = c.length_m;
+  out.loss = rf::Decibels{c.loss_db};
+  out.bounces = c.bounces;
+  out.obstruction = rf::Decibels{c.obstruction_db};
+  out.vertices.assign(c.vertices,
+                      c.vertices + static_cast<std::size_t>(c.vertex_count));
 }
 
 Path PathSolver::line_of_sight(geom::Vec2 source,
                                geom::Vec2 destination) const {
-  return materialize(los_candidate(source, destination));
+  Path path;
+  materialize(los_candidate(source, destination), path);
+  return path;
 }
 
 std::vector<Path> PathSolver::solve(geom::Vec2 source,
                                     geom::Vec2 destination) const {
   std::vector<Candidate> candidates;
   candidates.reserve(max_candidates());
-  collect_candidates(source, destination, candidates);
-  order_and_trim(candidates);
-  std::vector<Path> paths;
-  paths.reserve(candidates.size());
-  for (const Candidate& c : candidates) {
-    paths.push_back(materialize(c));
+  solve_candidates(source, destination, candidates);
+  std::vector<Path> paths(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    materialize(candidates[i], paths[i]);
   }
   return paths;
 }
@@ -257,84 +262,11 @@ std::vector<Path> PathSolver::solve(geom::Vec2 source,
 void PathSolver::solve_batch(const EndpointBatch& batch, PathBatch& out,
                              BatchWorkspace& ws) const {
   out.clear();
-  const std::size_t n = batch.size();
-  if (n == 0) {
-    return;
-  }
-  const std::size_t nwalls = room_->walls().size();
-  const bool no_obstacles = room_->obstacles().empty();
-  const bool first_order = config_.max_bounces >= 1 && nwalls > 0;
-  const bool second_order = config_.max_bounces >= 2 && nwalls > 1;
-
-  // Mirror-unfolding prepass over the batch's contiguous coordinate arrays:
-  // one image per (wall, query), one composed image per (ordered wall pair,
-  // query). Each image is the output of the same Mirror::reflect the scalar
-  // path calls, so downstream candidate math sees identical inputs.
-  if (first_order) {
-    ws.first_images.resize(nwalls * n);
-    const double* ax = batch.ax();
-    const double* ay = batch.ay();
-    for (std::size_t w = 0; w < nwalls; ++w) {
-      const Mirror mirror = mirrors_[w];
-      geom::Vec2* row = ws.first_images.data() + w * n;
-      for (std::size_t q = 0; q < n; ++q) {
-        row[q] = mirror.reflect({ax[q], ay[q]});
-      }
-    }
-  }
-  if (second_order) {
-    ws.second_images.resize(nwalls * nwalls * n);
-    for (std::size_t i = 0; i < nwalls; ++i) {
-      const geom::Vec2* image1_row = ws.first_images.data() + i * n;
-      for (std::size_t j = 0; j < nwalls; ++j) {
-        if (i == j) {
-          continue;
-        }
-        const Mirror mirror = mirrors_[j];
-        geom::Vec2* row = ws.second_images.data() + (i * nwalls + j) * n;
-        for (std::size_t q = 0; q < n; ++q) {
-          row[q] = mirror.reflect(image1_row[q]);
-        }
-      }
-    }
-  }
-
   ws.candidates.reserve(max_candidates());
-  for (std::size_t q = 0; q < n; ++q) {
-    const geom::Vec2 source = batch.a(q);
-    const geom::Vec2 destination = batch.b(q);
-    ws.candidates.clear();
-    ws.candidates.push_back(los_candidate(source, destination));
-    if (first_order) {
-      for (std::size_t i = 0; i < nwalls; ++i) {
-        Candidate c;
-        if (first_order_candidate(i, ws.first_images[i * n + q], source,
-                                  destination, no_obstacles, c)) {
-          ws.candidates.push_back(c);
-        }
-      }
-    }
-    if (second_order) {
-      for (std::size_t i = 0; i < nwalls; ++i) {
-        const geom::Vec2 image1 = ws.first_images[i * n + q];
-        for (std::size_t j = 0; j < nwalls; ++j) {
-          if (i == j) {
-            continue;
-          }
-          Candidate c;
-          if (second_order_candidate(i, j, image1,
-                                     ws.second_images[(i * nwalls + j) * n + q],
-                                     source, destination, no_obstacles, c)) {
-            ws.candidates.push_back(c);
-          }
-        }
-      }
-    }
-    order_and_trim(ws.candidates);
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    solve_candidates(batch.a(q), batch.b(q), ws.candidates);
     for (const Candidate& c : ws.candidates) {
-      out.append_path(c.departure, c.arrival, c.length_m, c.loss_db,
-                      c.obstruction_db, c.bounces, c.vertices,
-                      static_cast<std::size_t>(c.vertex_count));
+      materialize(c, out.add_path());
     }
     out.end_query();
   }

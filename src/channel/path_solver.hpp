@@ -1,5 +1,12 @@
 // Precomputed image-method path solver.
 //
+// mmWave propagation indoors is quasi-optical: the energy that matters
+// arrives over the LOS ray and a handful of specular wall bounces; diffuse
+// scattering is tens of dB down. The solver enumerates the LOS path and all
+// first- and second-order wall images, validates each bounce point against
+// the wall extents, and charges free-space loss over the unfolded length,
+// reflection loss per bounce and obstruction loss per leg.
+//
 // The specular image tree (one mirror image per wall, one composed image per
 // ordered wall pair) depends only on the wall geometry, which is fixed at
 // Room construction. The solver builds that tree once and answers
@@ -8,14 +15,12 @@
 // wall takes effect on the very next call, with no rebuild. When the room
 // has no obstacles the per-leg obstruction checks are skipped entirely.
 //
-// Two query shapes share one evaluation core:
-//  - solve(src, dst): the scalar API, returns an AoS std::vector<Path>.
-//  - solve_batch(batch, out, ws): many endpoint pairs at once. Mirror
-//    unfolding runs as a prepass over the batch's contiguous coordinate
-//    arrays (one image per wall x query, one per ordered wall pair x query),
-//    then per-query candidate assembly reuses the *same* helper functions as
-//    the scalar path — which is what makes the batch results bit-identical
-//    to a scalar loop (the differential tests assert this).
+// Two query shapes, one per-query code path:
+//  - solve(src, dst): returns a fresh std::vector<Path>.
+//  - solve_batch(batch, out, ws): many endpoint pairs at once, answered into
+//    the caller's recycled PathBatch slots. Each query runs the same
+//    collect / order-and-trim / materialize sequence as solve(), which is
+//    what makes the batch results bit-identical to a scalar loop.
 //
 // Thread-safety: solve(), solve_batch() and line_of_sight() are const and
 // touch no mutable solver state; any number of threads may query one solver
@@ -53,7 +58,7 @@ class PathSolver {
     double obstruction_db{0.0};
     int bounces{0};
     int vertex_count{0};
-    geom::Vec2 vertices[4];
+    geom::Vec2 vertices[PathBatch::kMaxVertices];
   };
 
   /// Reusable scratch for solve_batch. Owned by the caller — one per worker
@@ -61,14 +66,10 @@ class PathSolver {
   /// solve performs zero heap allocations of its own.
   struct BatchWorkspace {
     std::vector<Candidate> candidates;
-    std::vector<geom::Vec2> first_images;   // [wall][query], row-major
-    std::vector<geom::Vec2> second_images;  // [wall i][wall j][query]
 
     /// Bytes of backing storage currently owned (capacity, not size).
     std::size_t arena_bytes() const {
-      return candidates.capacity() * sizeof(Candidate) +
-             (first_images.capacity() + second_images.capacity()) *
-                 sizeof(geom::Vec2);
+      return candidates.capacity() * sizeof(Candidate);
     }
   };
 
@@ -85,9 +86,9 @@ class PathSolver {
   /// All propagation paths from `source` to `destination`, strongest first.
   std::vector<Path> solve(geom::Vec2 source, geom::Vec2 destination) const;
 
-  /// Batched solve: appends every query's surviving paths to `out` (which is
-  /// cleared first), strongest first within each query. Bit-identical to
-  /// calling solve() per endpoint pair.
+  /// Batched solve: answers every query into `out` (which is cleared
+  /// first), strongest first within each query. Bit-identical to calling
+  /// solve() per endpoint pair.
   void solve_batch(const EndpointBatch& batch, PathBatch& out,
                    BatchWorkspace& ws) const;
 
@@ -125,10 +126,7 @@ class PathSolver {
 
   void build_images();
 
-  // Shared candidate evaluation — the single source of truth for path math.
-  // Both solve() and solve_batch() call these, so their results cannot
-  // diverge. The image points are passed in (computed inline by the scalar
-  // path, by the SoA prepass in the batch path) from the same reflect().
+  // Candidate evaluation — the single source of truth for path math.
   Candidate los_candidate(geom::Vec2 source, geom::Vec2 destination) const;
   bool first_order_candidate(std::size_t wall, geom::Vec2 image,
                              geom::Vec2 source, geom::Vec2 destination,
@@ -140,10 +138,14 @@ class PathSolver {
   void collect_candidates(geom::Vec2 source, geom::Vec2 destination,
                           std::vector<Candidate>& out) const;
   /// Sort strongest-first, then drop candidates outside the dynamic range of
-  /// the strongest. Same comparator and cutoff as the historical Path sort,
-  /// so the surviving order is the exact permutation solve() always produced.
+  /// the strongest.
   void order_and_trim(std::vector<Candidate>& candidates) const;
-  static Path materialize(const Candidate& c);
+  /// The per-query code path both solve() and solve_batch() run: leaves
+  /// the surviving candidates, strongest first, in `candidates`.
+  void solve_candidates(geom::Vec2 source, geom::Vec2 destination,
+                        std::vector<Candidate>& candidates) const;
+  /// Overwrites every field of `out` with `c`.
+  static void materialize(const Candidate& c, Path& out);
 };
 
 }  // namespace movr::channel

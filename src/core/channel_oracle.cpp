@@ -1,6 +1,7 @@
 #include <core/channel_oracle.hpp>
 
 #include <cmath>
+#include <span>
 #include <utility>
 
 namespace movr::core {
@@ -121,12 +122,6 @@ ChannelOracle::PathsView ChannelOracle::view_locked(geom::Vec2 a,
   return view;
 }
 
-std::vector<channel::Path> ChannelOracle::paths_between(geom::Vec2 a,
-                                                        geom::Vec2 b) const {
-  const std::scoped_lock lock{mutex_};
-  return *view_locked(a, b);
-}
-
 ChannelOracle::PathsView ChannelOracle::paths_view(geom::Vec2 a,
                                                    geom::Vec2 b) const {
   const std::scoped_lock lock{mutex_};
@@ -202,16 +197,12 @@ void ChannelOracle::query_batch(const channel::EndpointBatch& batch,
   slot_views_.clear();
   slot_views_.resize(miss_batch_.size());
   for (std::size_t s = 0; s < miss_batch_.size(); ++s) {
-    auto paths = std::make_shared<std::vector<channel::Path>>();
-    paths->reserve(miss_paths_.query_paths(s));
-    const std::size_t last = miss_paths_.query_last(s);
-    for (std::size_t p = miss_paths_.query_first(s); p < last; ++p) {
-      paths->push_back(miss_paths_.path(p));
-    }
+    const std::span<const channel::Path> solved = miss_paths_.query(s);
     if (cache_.size() >= config_.max_entries) {
       drop_cache_locked();
     }
-    PathsView view = std::move(paths);
+    PathsView view = std::make_shared<const std::vector<channel::Path>>(
+        solved.begin(), solved.end());
     cache_.insert(miss_keys_[s], hash_key(miss_keys_[s]), view);
     slot_views_[s] = std::move(view);
   }

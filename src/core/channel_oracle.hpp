@@ -20,8 +20,8 @@
 //    PathSolver::solve_batch call. Consecutive duplicate keys skip the cache
 //    probe entirely (Stats::batch_probes_saved). A fully-warmed batch
 //    performs zero heap allocations.
-//  - paths_between(a, b): the historical deep-copy API, kept for callers
-//    that mutate or outlive their result.
+// A caller that needs its own mutable copy takes
+// std::vector<Path>{*paths_view(a, b)}.
 //
 // Thread-safety: all query paths are const and internally synchronized (one
 // mutex around the cache); any number of threads may query one oracle
@@ -65,10 +65,8 @@ class ChannelOracle {
   const channel::PathSolver& solver() const { return solver_; }
   const Config& config() const { return config_; }
 
-  /// Memoised equivalent of PathSolver::solve (deep copy).
-  std::vector<channel::Path> paths_between(geom::Vec2 a, geom::Vec2 b) const;
-
-  /// Borrowed-view equivalent: no path copying on a warm hit.
+  /// Memoised equivalent of PathSolver::solve, as a borrowed view: no path
+  /// copying on a warm hit.
   PathsView paths_view(geom::Vec2 a, geom::Vec2 b) const;
 
   /// Answers every pair in `batch` under one lock acquisition: one probe
@@ -98,8 +96,8 @@ class ChannelOracle {
     /// query in the same batch had the same quantised key (grid sweeps and
     /// codebook scans repeat endpoints back to back).
     std::uint64_t batch_probes_saved{0};
-    /// High-water mark of the batch scratch arena (endpoint batch, SoA
-    /// result batch, solver workspace, slot maps), bytes. Monotone: the
+    /// High-water mark of the batch scratch arena (endpoint batch, result
+    /// batch, solver workspace, slot maps), bytes. Monotone: the
     /// scratch keeps its capacity across calls and invalidations.
     std::uint64_t arena_bytes{0};
 

@@ -10,7 +10,8 @@ namespace movr::core {
 bool OcclusionForecaster::los_blocked(const Scene& scene,
                                       geom::Vec2 headset) const {
   const geom::Vec2 ap = scene.ap().node().position();
-  for (const channel::Path& path : scene.paths_between(ap, headset)) {
+  const auto paths = scene.paths_view(ap, headset);
+  for (const channel::Path& path : *paths) {
     if (path.is_los()) {
       return path.is_blocked(config_.blocked_threshold_db);
     }

@@ -56,7 +56,13 @@ void MovrReflector::handle(const sim::ControlMessage& message) {
     front_end_.set_gain_code(
         static_cast<std::uint32_t>(std::round(message.value)));
   } else if (message.topic == "modulate") {
-    front_end_.set_modulating(message.value != 0.0);
+    // Only the two commands the AP sends: a bit-flipped 0.0 is a nonzero
+    // finite double, and must not switch modulation on.
+    if (message.value != 0.0 && message.value != 1.0) {
+      ++rejected_messages_;
+      return;
+    }
+    front_end_.set_modulating(message.value == 1.0);
   } else {
     ++unknown_messages_;
   }

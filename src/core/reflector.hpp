@@ -39,7 +39,7 @@ class MovrReflector {
   /// Control-plane dispatch: the message vocabulary the Arduino accepts.
   /// Topics: "rx_angle" (local radians), "tx_angle" (local radians),
   /// "both_angles" (sets rx == tx, used during angle search),
-  /// "gain_code", "modulate" (value != 0 -> on).
+  /// "gain_code", "modulate" (1 -> on, 0 -> off, anything else rejected).
   /// Unknown topics are counted and ignored (robustness to version skew).
   void handle(const sim::ControlMessage& message);
 

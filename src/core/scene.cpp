@@ -1,37 +1,9 @@
 #include <core/scene.hpp>
 
-#include <cmath>
-#include <complex>
-#include <numbers>
-
 #include <rf/noise.hpp>
 #include <rf/propagation.hpp>
 
 namespace movr::core {
-
-namespace {
-
-/// Frequency-averaged power over paths with arbitrary endpoint responses.
-/// `tx_response` and `rx_response` map a global azimuth to a complex
-/// far-field factor.
-template <typename FTx, typename FRx>
-rf::DbmPower hop_power(rf::DbmPower tx_power,
-                       std::span<const channel::Path> paths, FTx&& tx_response,
-                       FRx&& rx_response, const phy::LinkConfig& link,
-                       rf::Decibels extra_loss) {
-  std::vector<phy::PathComponent> components;
-  components.reserve(paths.size());
-  for (const channel::Path& path : paths) {
-    const rf::DbmPower path_power = tx_power - path.loss;
-    const double amplitude = std::sqrt(path_power.milliwatts());
-    components.push_back({amplitude * tx_response(path.departure_azimuth) *
-                              rx_response(path.arrival_azimuth),
-                          path.length_m});
-  }
-  return phy::wideband_power(components, link, extra_loss);
-}
-
-}  // namespace
 
 namespace {
 
@@ -78,11 +50,6 @@ MovrReflector& Scene::add_reflector(geom::Vec2 position,
   return *reflectors_.back();
 }
 
-std::vector<channel::Path> Scene::paths_between(geom::Vec2 a,
-                                                geom::Vec2 b) const {
-  return oracle().paths_between(a, b);
-}
-
 ChannelOracle::PathsView Scene::paths_view(geom::Vec2 a, geom::Vec2 b) const {
   return oracle().paths_view(a, b);
 }
@@ -103,17 +70,11 @@ rf::Decibels Scene::direct_snr() const {
   return direct_power() - phy::link_noise_floor(config_.link);
 }
 
-phy::LinkConfig Scene::hop_config(rf::Decibels loss) const {
-  phy::LinkConfig hop = config_.link;
-  hop.implementation_loss = loss;
-  return hop;
-}
-
 rf::DbmPower Scene::reflector_input(const MovrReflector& reflector) const {
   const auto paths =
       paths_view(ap_.node().position(), reflector.position());
   const auto& rx_array = reflector.front_end().rx_array();
-  return hop_power(
+  return phy::path_power(
       ap_.node().tx_power(), *paths,
       [&](double az) { return ap_.node().response_toward(az); },
       [&](double az) {
@@ -131,7 +92,7 @@ Scene::ViaResult Scene::via_snr(const MovrReflector& reflector) const {
   const auto paths =
       paths_view(reflector.position(), headset_.node().position());
   const auto& tx_array = reflector.front_end().tx_array();
-  const rf::DbmPower relayed = hop_power(
+  const rf::DbmPower relayed = phy::path_power(
       result.front_end.output, *paths,
       [&](double az) {
         return phy::array_response(tx_array, reflector.to_local(az));
@@ -175,7 +136,7 @@ rf::DbmPower Scene::backscatter_at_ap(const MovrReflector& reflector) const {
   const auto paths =
       paths_view(reflector.position(), ap_.node().position());
   const auto& tx_array = reflector.front_end().tx_array();
-  return hop_power(
+  return phy::path_power(
       state.sideband_output, *paths,
       [&](double az) {
         return phy::array_response(tx_array, reflector.to_local(az));

@@ -62,15 +62,12 @@ class Scene {
   }
 
   // --- physics queries (ground truth) ----------------------------------
-  /// Paths between two points with the current room state. Served by the
-  /// memoising ChannelOracle: repeated queries against unchanged geometry
-  /// are cache hits, while any Room mutation bumps the room's revision and
+  /// Paths between two points with the current room state, as a borrowed
+  /// view — no path copying on a warm cache hit. Served by the memoising
+  /// ChannelOracle: repeated queries against unchanged geometry are cache
+  /// hits, while any Room mutation bumps the room's revision and
   /// invalidates the cache — so moving a blocker still takes effect
   /// immediately.
-  std::vector<channel::Path> paths_between(geom::Vec2 a, geom::Vec2 b) const;
-
-  /// Borrowed view of the same answer — no path copying on a warm cache
-  /// hit. All of the scene's own physics queries go through this.
   ChannelOracle::PathsView paths_view(geom::Vec2 a, geom::Vec2 b) const;
 
   /// Warms the oracle for a whole sweep of endpoint pairs in one batched
@@ -79,7 +76,7 @@ class Scene {
   /// prefetch first, then every per-cell physics query is a warm hit.
   void prefetch_paths(const channel::EndpointBatch& batch) const;
 
-  /// The oracle serving paths_between (rebinding it to this scene's room
+  /// The oracle serving paths_view (rebinding it to this scene's room
   /// first if the scene was moved since the last query). Exposes the
   /// precomputed PathSolver and the query/hit/invalidation counters.
   const ChannelOracle& oracle() const;
@@ -140,8 +137,6 @@ class Scene {
   /// (parallel evaluators clone one per worker); the oracle underneath is
   /// the synchronized layer.
   mutable std::vector<ChannelOracle::PathsView> prefetch_scratch_;
-
-  phy::LinkConfig hop_config(rf::Decibels loss) const;
 };
 
 }  // namespace movr::core

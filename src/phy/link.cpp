@@ -48,17 +48,11 @@ rf::DbmPower wideband_power(std::span<const PathComponent> components,
 rf::DbmPower received_power(const RadioNode& tx, const RadioNode& rx,
                             std::span<const channel::Path> paths,
                             const LinkConfig& config) {
-  std::vector<PathComponent> components;
-  components.reserve(paths.size());
-  for (const channel::Path& path : paths) {
-    const rf::DbmPower path_power = tx.tx_power() - path.loss;
-    const double amplitude = std::sqrt(path_power.milliwatts());
-    const std::complex<double> g_tx =
-        tx.response_toward(path.departure_azimuth);
-    const std::complex<double> g_rx = rx.response_toward(path.arrival_azimuth);
-    components.push_back({amplitude * g_tx * g_rx, path.length_m});
-  }
-  return wideband_power(components, config, config.implementation_loss);
+  return path_power(
+      tx.tx_power(), paths,
+      [&](double az) { return tx.response_toward(az); },
+      [&](double az) { return rx.response_toward(az); }, config,
+      config.implementation_loss);
 }
 
 rf::Decibels link_snr(const RadioNode& tx, const RadioNode& rx,

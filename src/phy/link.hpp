@@ -3,6 +3,7 @@
 // to: "place radios, steer beams, read the SNR".
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <span>
 #include <vector>
@@ -42,10 +43,34 @@ struct PathComponent {
 };
 
 /// Frequency-averaged received power of a set of path components, minus
-/// `extra_loss`. The building block behind received_power and the
-/// via-reflector hops in movr::core::Scene.
+/// `extra_loss`. The building block behind path_power.
 rf::DbmPower wideband_power(std::span<const PathComponent> components,
                             const LinkConfig& config, rf::Decibels extra_loss);
+
+/// Frequency-averaged power delivered over `paths` by a transmitter of
+/// `tx_power`, minus `extra_loss`. `tx_response` and `rx_response` map a
+/// global azimuth to each end's complex far-field factor. Every reduction
+/// from paths to power — the direct link, the relay hops in
+/// movr::core::Scene and arena interference — goes through here. It is a
+/// header template so callers pass their responses as lambdas without a
+/// type-erased call per path; instantiated in the caller's translation
+/// unit, its wideband_power call stays an external call, which is where
+/// movrbench's traced driver counts phy.link work.
+template <typename FTx, typename FRx>
+rf::DbmPower path_power(rf::DbmPower tx_power,
+                        std::span<const channel::Path> paths,
+                        FTx&& tx_response, FRx&& rx_response,
+                        const LinkConfig& config, rf::Decibels extra_loss) {
+  std::vector<PathComponent> components;
+  components.reserve(paths.size());
+  for (const channel::Path& path : paths) {
+    const double amplitude = std::sqrt((tx_power - path.loss).milliwatts());
+    components.push_back({amplitude * tx_response(path.departure_azimuth) *
+                              rx_response(path.arrival_azimuth),
+                          path.length_m});
+  }
+  return wideband_power(components, config, extra_loss);
+}
 
 /// Received power at `rx` for a transmission from `tx` over `paths`,
 /// with both arrays at their current steering. Multipath is summed

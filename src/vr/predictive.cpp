@@ -7,7 +7,8 @@ namespace movr::vr {
 bool PredictiveMovrStrategy::los_actually_blocked() const {
   const geom::Vec2 ap = scene_.ap().node().position();
   const geom::Vec2 headset = scene_.headset().node().position();
-  for (const channel::Path& path : scene_.paths_between(ap, headset)) {
+  const auto paths = scene_.paths_view(ap, headset);
+  for (const channel::Path& path : *paths) {
     if (path.is_los()) {
       return path.is_blocked(config_.forecaster.blocked_threshold_db);
     }

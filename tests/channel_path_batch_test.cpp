@@ -1,15 +1,16 @@
-// Differential suite for the SoA batch kernel: PathSolver::solve_batch must
-// be bit-identical to a scalar solve() loop over the same endpoint pairs —
+// Differential suite for the batch kernel: PathSolver::solve_batch must be
+// bit-identical to a scalar solve() loop over the same endpoint pairs —
 // same surviving paths, same order, every field equal to the last bit. The
-// batch path shares the scalar path's candidate helpers by construction;
-// these tests are the tripwire for any future divergence (a reordered sum,
-// a contracted FMA, a different trim rule).
+// two share one per-query code path by construction; these tests are the
+// tripwire for any future divergence (a reordered sum, a contracted FMA, a
+// different trim rule, a stale recycled slot).
 #include <channel/path_batch.hpp>
 #include <channel/path_solver.hpp>
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <vector>
 
 #include <channel/obstacle.hpp>
@@ -20,24 +21,20 @@ namespace {
 
 void expect_bit_identical(const std::vector<Path>& scalar,
                           const PathBatch& batch, std::size_t q) {
-  ASSERT_EQ(scalar.size(), batch.query_paths(q));
+  const std::span<const Path> batched = batch.query(q);
+  ASSERT_EQ(scalar.size(), batched.size());
   for (std::size_t i = 0; i < scalar.size(); ++i) {
-    const std::size_t p = batch.query_first(q) + i;
-    EXPECT_EQ(scalar[i].departure_azimuth, batch.departure_azimuth(p));
-    EXPECT_EQ(scalar[i].arrival_azimuth, batch.arrival_azimuth(p));
-    EXPECT_EQ(scalar[i].length_m, batch.length_m(p));
-    EXPECT_EQ(scalar[i].loss.value(), batch.loss_db(p));
-    EXPECT_EQ(scalar[i].obstruction.value(), batch.obstruction_db(p));
-    EXPECT_EQ(scalar[i].bounces, batch.bounces(p));
-    ASSERT_EQ(scalar[i].vertices.size(), batch.vertex_count(p));
+    EXPECT_EQ(scalar[i].departure_azimuth, batched[i].departure_azimuth);
+    EXPECT_EQ(scalar[i].arrival_azimuth, batched[i].arrival_azimuth);
+    EXPECT_EQ(scalar[i].length_m, batched[i].length_m);
+    EXPECT_EQ(scalar[i].loss.value(), batched[i].loss.value());
+    EXPECT_EQ(scalar[i].obstruction.value(), batched[i].obstruction.value());
+    EXPECT_EQ(scalar[i].bounces, batched[i].bounces);
+    ASSERT_EQ(scalar[i].vertices.size(), batched[i].vertices.size());
     for (std::size_t k = 0; k < scalar[i].vertices.size(); ++k) {
-      EXPECT_EQ(scalar[i].vertices[k].x, batch.vertex(p, k).x);
-      EXPECT_EQ(scalar[i].vertices[k].y, batch.vertex(p, k).y);
+      EXPECT_EQ(scalar[i].vertices[k].x, batched[i].vertices[k].x);
+      EXPECT_EQ(scalar[i].vertices[k].y, batched[i].vertices[k].y);
     }
-    // The AoS bridge rebuilds the exact Path.
-    const Path rebuilt = batch.path(p);
-    EXPECT_EQ(scalar[i].loss.value(), rebuilt.loss.value());
-    EXPECT_EQ(scalar[i].vertices.size(), rebuilt.vertices.size());
   }
 }
 

@@ -3,7 +3,7 @@
 #include <random>
 #include <string_view>
 
-#include <channel/ray_tracer.hpp>
+#include <channel/path_solver.hpp>
 
 #include <gtest/gtest.h>
 
@@ -71,8 +71,8 @@ TEST(Room, BetterWallImprovesReflection) {
   const geom::Vec2 a{1.0, 2.0};
   const geom::Vec2 b{4.0, 2.0};
   const auto north_bounce_loss = [&](const Room& room) {
-    const RayTracer tracer{room};
-    for (const auto& path : tracer.trace(a, b)) {
+    const PathSolver solver{room};
+    for (const auto& path : solver.solve(a, b)) {
       if (path.bounces == 1 && path.vertices[1].y > 4.9) {
         return path.loss.value();
       }

@@ -29,7 +29,7 @@ TEST(ChannelOracle, CountsQueriesHitsAndMisses) {
   const channel::Room room{5.0, 5.0};
   const ChannelOracle oracle{room};
   for (int i = 0; i < 5; ++i) {
-    oracle.paths_between({1.0, 1.0}, {4.0, 4.0});
+    oracle.paths_view({1.0, 1.0}, {4.0, 4.0});
   }
   const auto stats = oracle.stats();
   EXPECT_EQ(stats.queries, 5u);
@@ -69,8 +69,8 @@ TEST(ChannelOracle, CachedAnswersBitMatchDirectSolverCalls) {
     const Vec2 b = room.random_interior_point(rng, 0.4);
     // Query twice (second one a guaranteed hit), then compare to a solver
     // built fresh on the current room — the cache-free reference.
-    const auto first = oracle.paths_between(a, b);
-    const auto second = oracle.paths_between(a, b);
+    const auto first = *oracle.paths_view(a, b);
+    const auto second = *oracle.paths_view(a, b);
     const channel::PathSolver reference{room};
     expect_same_paths(first, reference.solve(a, b));
     expect_same_paths(second, first);
@@ -96,16 +96,16 @@ TEST(ChannelOracle, RoomMutationInvalidatesExactlyLikeNoCache) {
     return paths.front();
   };
 
-  const auto clear = oracle.paths_between(a, b);
+  const auto clear = *oracle.paths_view(a, b);
   EXPECT_EQ(los_of(clear).obstruction.value(), 0.0);
 
   room.add_obstacle({geom::Circle{{2.5, 2.5}, 0.25}, channel::kBody, "p"});
-  const auto blocked = oracle.paths_between(a, b);
+  const auto blocked = *oracle.paths_view(a, b);
   EXPECT_GT(los_of(blocked).obstruction.value(), 10.0);
   expect_same_paths(blocked, channel::PathSolver{room}.solve(a, b));
 
   room.remove_obstacles("p");
-  const auto clear_again = oracle.paths_between(a, b);
+  const auto clear_again = *oracle.paths_view(a, b);
   expect_same_paths(clear_again, clear);
 
   const auto stats = oracle.stats();
@@ -116,9 +116,9 @@ TEST(ChannelOracle, RoomMutationInvalidatesExactlyLikeNoCache) {
 TEST(ChannelOracle, WallRematerialInvalidates) {
   channel::Room room{5.0, 5.0};
   const ChannelOracle oracle{room};
-  const auto drywall = oracle.paths_between({1.0, 1.0}, {4.0, 1.0});
+  const auto drywall = *oracle.paths_view({1.0, 1.0}, {4.0, 1.0});
   room.set_wall_material("south", channel::kMetal);
-  const auto metal = oracle.paths_between({1.0, 1.0}, {4.0, 1.0});
+  const auto metal = *oracle.paths_view({1.0, 1.0}, {4.0, 1.0});
   ASSERT_EQ(drywall.size(), metal.size());
   expect_same_paths(metal, channel::PathSolver{room}.solve({1.0, 1.0},
                                                            {4.0, 1.0}));
@@ -128,8 +128,8 @@ TEST(ChannelOracle, WallRematerialInvalidates) {
 TEST(ChannelOracle, QuantisationSeparatesDistinctPoints) {
   const channel::Room room{5.0, 5.0};
   const ChannelOracle oracle{room};
-  oracle.paths_between({1.0, 1.0}, {4.0, 4.0});
-  oracle.paths_between({1.001, 1.0}, {4.0, 4.0});  // 1 mm away: its own key
+  oracle.paths_view({1.0, 1.0}, {4.0, 4.0});
+  oracle.paths_view({1.001, 1.0}, {4.0, 4.0});  // 1 mm away: its own key
   EXPECT_EQ(oracle.stats().misses, 2u);
   EXPECT_EQ(oracle.stats().hits, 0u);
 }
@@ -143,7 +143,7 @@ TEST(ChannelOracle, SizeCapEvictsButStaysCorrect) {
   for (int i = 0; i < 64; ++i) {
     const Vec2 a = room.random_interior_point(rng, 0.4);
     const Vec2 b = room.random_interior_point(rng, 0.4);
-    expect_same_paths(oracle.paths_between(a, b),
+    expect_same_paths(*oracle.paths_view(a, b),
                       channel::PathSolver{room}.solve(a, b));
   }
   EXPECT_GT(oracle.stats().invalidations, 0u);  // the cap fired

@@ -71,7 +71,8 @@ TEST(OcclusionForecaster, ForecastsApproachingShadow) {
   const Vec2 ap = scene.ap().node().position();
   const Vec2 headset = scene.headset().node().position();
   bool blocked_now = true;
-  for (const auto& path : scene.paths_between(ap, headset)) {
+  const auto paths = scene.paths_view(ap, headset);
+  for (const auto& path : *paths) {
     if (path.is_los()) {
       blocked_now = path.is_blocked(3.0);
     }

@@ -1,6 +1,6 @@
 // Differential + accounting suite for ChannelOracle::query_batch and the
 // borrowed-view accessor: batched answers must be bit-identical to the
-// scalar paths_between loop under every cache temperature (cold, warm,
+// scalar paths_view loop under every cache temperature (cold, warm,
 // mixed, duplicate-heavy) and across Room::revision() invalidations, and
 // the stats must keep queries == hits + misses with the batch counters
 // consistent.
@@ -43,7 +43,7 @@ void expect_batch_matches_scalar(const ChannelOracle& oracle,
   for (std::size_t q = 0; q < batch.size(); ++q) {
     ASSERT_NE(views[q], nullptr) << "query " << q << " left unfilled";
     expect_same_paths(*views[q],
-                      reference.paths_between(batch.a(q), batch.b(q)));
+                      *reference.paths_view(batch.a(q), batch.b(q)));
   }
 }
 
@@ -97,7 +97,7 @@ TEST(OracleBatch, MixedHitMissBatchMatchesScalar) {
     const Vec2 b{room.width() - 0.5, room.depth() - 0.7};
     batch.push(a, b);
     if (i % 2 == 0) {
-      oracle.paths_between(a, b);
+      oracle.paths_view(a, b);
     }
   }
   const auto before = oracle.stats();
@@ -172,7 +172,7 @@ TEST(OracleBatch, RevisionBumpBetweenBatchesInvalidatesAndResolves) {
   ASSERT_NE(before_mutation, nullptr);
   ASSERT_FALSE(before_mutation->empty());
   const ChannelOracle fresh{room};
-  const auto now = fresh.paths_between(batch.a(0), batch.b(0));
+  const auto now = *fresh.paths_view(batch.a(0), batch.b(0));
   // The person stands on the LOS leg, so the stale and fresh LOS paths
   // differ in obstruction — proof the second batch really re-solved.
   const auto los_of = [](const std::vector<channel::Path>& paths) {
@@ -196,7 +196,7 @@ TEST(OracleBatch, PathsViewAliasesCacheAndMatchesDeepCopy) {
   const ChannelOracle::PathsView view = oracle.paths_view(a, b);
   const ChannelOracle::PathsView again = oracle.paths_view(a, b);
   EXPECT_EQ(view.get(), again.get()) << "warm view did not alias the cache";
-  expect_same_paths(*view, oracle.paths_between(a, b));
+  expect_same_paths(*view, oracle.solver().solve(a, b));
 }
 
 TEST(OracleBatch, ArenaHighWaterIsMonotoneAndPositive) {

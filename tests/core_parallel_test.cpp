@@ -145,7 +145,7 @@ TEST(ParallelPlacement, PlanIdenticalForEveryThreadCount) {
 }
 
 TEST(SharedOracle, ConcurrentConstQueriesAreSafe) {
-  // Scene::paths_between is const and internally synchronized: many
+  // Scene::paths_view is const and internally synchronized: many
   // threads may interrogate one scene as long as nobody mutates it. Under
   // -DMOVR_SANITIZE=thread this is the mutex's proof obligation.
   const Scene scene = deployed_scene();

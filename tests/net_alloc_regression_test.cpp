@@ -140,7 +140,7 @@ TEST(NetAllocRegression, WarmedOracleQueryBatchIsHeapFree) {
 }
 
 TEST(NetAllocRegression, WarmedSolveBatchIsHeapFree) {
-  // The SoA kernel itself (no cache in front): once the output batch and
+  // The batch kernel itself (no cache in front): once the output batch and
   // workspace are warmed, re-solving the same endpoints is allocation-free.
   const channel::Room room = channel::Room::paper_office();
   const channel::PathSolver solver{room};
@@ -159,6 +159,78 @@ TEST(NetAllocRegression, WarmedSolveBatchIsHeapFree) {
   EXPECT_EQ(allocs, 0u) << "warmed solve_batch touched the heap " << allocs
                         << " time(s)";
   EXPECT_EQ(batch.queries(), endpoints.size());
+}
+
+TEST(NetAllocRegression, RecycledBatchSlotsAreHeapFree) {
+  // A warmed batch refilled from *different* endpoints of the same count:
+  // half LOS-only answers (a 2 mm hop, every reflection beyond the 60 dB
+  // dynamic range), half with two-bounce paths — so a slot that held a
+  // two-vertex path can now take a four-vertex one. Every slot reserved
+  // four vertices when it was made, so the refill never reallocates.
+  const channel::Room room = channel::Room::paper_office();
+  const channel::PathSolver solver{room};
+  channel::EndpointBatch warm;
+  channel::EndpointBatch mixed;
+  for (int i = 0; i < 32; ++i) {
+    const geom::Vec2 cell{0.6 + 0.12 * i, 1.0 + 0.1 * i};
+    warm.push({0.4, 0.4}, cell);
+    if (i % 2 == 0) {
+      const geom::Vec2 a{2.2 + 0.02 * i, 2.5};
+      mixed.push(a, a + geom::Vec2{0.002, 0.0});
+    } else {
+      mixed.push({4.6, 0.4}, cell);
+    }
+  }
+
+  channel::PathBatch batch;
+  channel::PathSolver::BatchWorkspace ws;
+  solver.solve_batch(warm, batch, ws);
+  std::vector<std::size_t> warm_vertices;
+  for (std::size_t q = 0; q < batch.queries(); ++q) {
+    for (const channel::Path& path : batch.query(q)) {
+      warm_vertices.push_back(path.vertices.size());
+    }
+  }
+
+  testing::alloc_counter_start();
+  solver.solve_batch(mixed, batch, ws);
+  const std::uint64_t allocs = testing::alloc_counter_stop();
+  EXPECT_EQ(allocs, 0u) << "recycled solve_batch touched the heap " << allocs
+                        << " time(s)";
+
+  // The refill really reused slots with more vertices than they held.
+  ASSERT_LE(batch.paths(), warm_vertices.size());
+  std::size_t slot = 0;
+  bool grew = false;
+  for (std::size_t q = 0; q < batch.queries(); ++q) {
+    const auto paths = batch.query(q);
+    if (q % 2 == 0) {
+      EXPECT_EQ(paths.size(), 1u) << "query " << q << " is not LOS-only";
+    }
+    for (const channel::Path& path : paths) {
+      grew |= path.vertices.size() > warm_vertices[slot++];
+    }
+  }
+  EXPECT_TRUE(grew);
+
+  // The oracle's miss batch recycles the same slots: past its warmed
+  // scratch, a cold query_batch allocates only the cache entries — per
+  // miss, one shared block, one path array and one vertex array per path.
+  const core::ChannelOracle oracle{room};
+  std::vector<core::ChannelOracle::PathsView> views;
+  oracle.query_batch(warm, views);
+  testing::alloc_counter_start();
+  oracle.query_batch(mixed, views);
+  const std::uint64_t oracle_allocs = testing::alloc_counter_stop();
+  std::uint64_t cache_allocs = 0;
+  for (std::size_t q = 0; q < mixed.size(); ++q) {
+    ASSERT_NE(views[q], nullptr);
+    EXPECT_EQ(views[q]->size(), batch.query(q).size());
+    cache_allocs += 2 + views[q]->size();
+  }
+  EXPECT_EQ(oracle.stats().misses, warm.size() + mixed.size());
+  EXPECT_EQ(oracle_allocs, cache_allocs)
+      << "query_batch allocated beyond its cache entries";
 }
 
 }  // namespace

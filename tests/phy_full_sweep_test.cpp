@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <channel/ray_tracer.hpp>
+#include <channel/path_solver.hpp>
 #include <channel/room.hpp>
 #include <geom/angle.hpp>
 #include <phy/beam_sweep.hpp>
@@ -15,10 +15,10 @@ TEST(FullSweep, FindsLosBehindTheMount) {
   // The receiver's single face points AWAY from the transmitter: the
   // sector sweep is blind, the full-azimuth sweep re-faces and finds LOS.
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   RadioNode tx{{1.0, 2.5}, 0.0};
   RadioNode rx{{4.0, 2.5}, 0.0};  // boresight +x: the AP is behind it
-  const auto paths = tracer.trace(tx.position(), rx.position());
+  const auto paths = solver.solve(tx.position(), rx.position());
   const LinkConfig config;
   const auto result = sweep_all_directions(tx, rx, paths, config,
                                            /*nlos_only=*/false);
@@ -30,10 +30,10 @@ TEST(FullSweep, FindsLosBehindTheMount) {
 
 TEST(FullSweep, NlosOnlyExcludesLos) {
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   RadioNode tx{{0.5, 2.5}, 0.0};
   RadioNode rx{{4.5, 2.5}, geom::kPi};
-  const auto paths = tracer.trace(tx.position(), rx.position());
+  const auto paths = solver.solve(tx.position(), rx.position());
   const LinkConfig config;
   RadioNode tx2 = tx;
   RadioNode rx2 = rx;
@@ -50,10 +50,10 @@ TEST(FullSweep, CorneredApReachesAdjacentWalls) {
   const Vec2 ap{0.4, 0.4};
   const Vec2 hs{1.37, 1.75};
   room.add_obstacle(channel::make_person(hs + (ap - hs).normalized() * 1.0));
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   RadioNode tx{ap, deg_to_rad(45.0)};
   RadioNode rx{hs, (ap - hs).heading()};
-  const auto paths = tracer.trace(ap, hs);
+  const auto paths = solver.solve(ap, hs);
   const auto result =
       sweep_all_directions(tx, rx, paths, LinkConfig{}, /*nlos_only=*/true);
   // The best wall bounce is ~13 dB below clear LOS (~29 dB): mid-teens.
@@ -62,10 +62,10 @@ TEST(FullSweep, CorneredApReachesAdjacentWalls) {
 
 TEST(FullSweep, LeavesRadiosOnWinner) {
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   RadioNode tx{{1.0, 2.5}, 0.0};
   RadioNode rx{{4.0, 2.5}, 0.0};
-  const auto paths = tracer.trace(tx.position(), rx.position());
+  const auto paths = solver.solve(tx.position(), rx.position());
   const LinkConfig config;
   const auto result = sweep_all_directions(tx, rx, paths, config, false);
   EXPECT_EQ(tx.orientation(), result.tx_orientation);
@@ -79,10 +79,10 @@ TEST(FullSweep, LeavesRadiosOnWinner) {
 
 TEST(FullSweep, CoarseToFineCountsWork) {
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   RadioNode tx{{1.0, 2.5}, 0.0};
   RadioNode rx{{4.0, 2.5}, geom::kPi};
-  const auto paths = tracer.trace(tx.position(), rx.position());
+  const auto paths = solver.solve(tx.position(), rx.position());
   const auto result = sweep_all_directions(tx, rx, paths, LinkConfig{},
                                            false, 10.0, 2.0, 2);
   // Coarse: 2 faces x 2 faces x 17 x 17; fine: 11 x 11 around the winner.
@@ -91,10 +91,10 @@ TEST(FullSweep, CoarseToFineCountsWork) {
 
 TEST(FullSweep, FineStepImprovesOrMatchesCoarse) {
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   RadioNode tx{{1.2, 1.3}, 0.7};
   RadioNode rx{{3.9, 3.6}, 2.0};
-  const auto paths = tracer.trace(tx.position(), rx.position());
+  const auto paths = solver.solve(tx.position(), rx.position());
   RadioNode tx2 = tx;
   RadioNode rx2 = rx;
   const auto coarse_only = sweep_all_directions(tx, rx, paths, LinkConfig{},

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <channel/ray_tracer.hpp>
+#include <channel/path_solver.hpp>
 #include <channel/room.hpp>
 #include <geom/angle.hpp>
 #include <phy/beam_sweep.hpp>
@@ -22,14 +22,14 @@ TEST(Link, NoiseFloorValue) {
 TEST(Link, SingleLosPathMatchesHandBudget) {
   // One path, both beams aligned: Pr = Pt + Gt + Gr - FSPL - impl.
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   const Vec2 a{1.0, 2.0};
   const Vec2 b{4.0, 2.0};
   RadioNode tx{a, 0.0};
   RadioNode rx{b, movr::geom::kPi};
   tx.steer_toward(b);
   rx.steer_toward(a);
-  const auto los = tracer.line_of_sight(a, b);
+  const auto los = solver.line_of_sight(a, b);
   const std::vector<channel::Path> paths{los};
   const LinkConfig config;
   const double expected = 0.0 + 15.5 + 15.5 -
@@ -40,14 +40,14 @@ TEST(Link, SingleLosPathMatchesHandBudget) {
 
 TEST(Link, SnrIsPowerOverFloor) {
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   const Vec2 a{1.0, 2.0};
   const Vec2 b{4.0, 2.0};
   RadioNode tx{a, 0.0};
   RadioNode rx{b, movr::geom::kPi};
   tx.steer_toward(b);
   rx.steer_toward(a);
-  const auto paths = tracer.trace(a, b);
+  const auto paths = solver.solve(a, b);
   const LinkConfig config;
   EXPECT_NEAR(link_snr(tx, rx, paths, config).value(),
               received_power(tx, rx, paths, config).value() -
@@ -57,7 +57,7 @@ TEST(Link, SnrIsPowerOverFloor) {
 
 TEST(Link, SnrFallsWithDistance) {
   const channel::Room room{20.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   const LinkConfig config;
   double prev = 1e9;
   for (double d = 2.0; d <= 18.0; d += 4.0) {
@@ -67,7 +67,7 @@ TEST(Link, SnrFallsWithDistance) {
     RadioNode rx{b, movr::geom::kPi};
     tx.steer_toward(b);
     rx.steer_toward(a);
-    const auto los = tracer.line_of_sight(a, b);
+    const auto los = solver.line_of_sight(a, b);
     const std::vector<channel::Path> paths{los};
     const double snr = link_snr(tx, rx, paths, config).value();
     EXPECT_LT(snr, prev);
@@ -77,14 +77,14 @@ TEST(Link, SnrFallsWithDistance) {
 
 TEST(Link, MisalignedBeamLosesTensOfDb) {
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   const Vec2 a{1.0, 2.0};
   const Vec2 b{4.0, 2.0};
   RadioNode tx{a, 0.0};
   RadioNode rx{b, movr::geom::kPi};
   tx.steer_toward(b);
   rx.steer_toward(a);
-  const auto los = tracer.line_of_sight(a, b);
+  const auto los = solver.line_of_sight(a, b);
   const std::vector<channel::Path> paths{los};
   const LinkConfig config;
   const double aligned = link_snr(tx, rx, paths, config).value();
@@ -96,14 +96,14 @@ TEST(Link, MisalignedBeamLosesTensOfDb) {
 TEST(Link, LosCalibrationInPaperRoom) {
   // DESIGN.md Section 5: LOS SNR around 25 dB at mid-room distances.
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   const Vec2 a{0.4, 2.5};
   const Vec2 b{4.0, 2.5};
   RadioNode tx{a, 0.0};
   RadioNode rx{b, movr::geom::kPi};
   tx.steer_toward(b);
   rx.steer_toward(a);
-  const auto paths = tracer.trace(a, b);
+  const auto paths = solver.solve(a, b);
   const double snr = link_snr(tx, rx, paths, LinkConfig{}).value();
   EXPECT_GT(snr, 20.0);
   EXPECT_LT(snr, 32.0);
@@ -111,12 +111,12 @@ TEST(Link, LosCalibrationInPaperRoom) {
 
 TEST(BeamSweep, FindsLosAlignment) {
   const channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   const Vec2 a{1.0, 1.0};
   const Vec2 b{4.0, 3.0};
   RadioNode tx{a, (b - a).heading()};
   RadioNode rx{b, (a - b).heading()};
-  const auto paths = tracer.trace(a, b);
+  const auto paths = solver.solve(a, b);
   const auto codebook = rf::paper_sector_codebook(2.0);
   const LinkConfig config;
   const auto result =
@@ -131,12 +131,12 @@ TEST(BeamSweep, FindsLosAlignment) {
 
 TEST(BeamSweep, NlosVariantIgnoresLos) {
   channel::Room room{5.0, 5.0};
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   const Vec2 a{0.5, 2.5};
   const Vec2 b{4.5, 2.5};
   RadioNode tx{a, (b - a).heading()};
   RadioNode rx{b, (a - b).heading()};
-  const auto paths = tracer.trace(a, b);
+  const auto paths = solver.solve(a, b);
   const auto codebook = rf::paper_sector_codebook(2.0);
   const LinkConfig config;
   RadioNode tx2 = tx;

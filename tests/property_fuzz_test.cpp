@@ -2,7 +2,7 @@
 // not just the hand-picked fixtures — seeded and deterministic.
 #include <gtest/gtest.h>
 
-#include <channel/ray_tracer.hpp>
+#include <channel/path_solver.hpp>
 #include <channel/room.hpp>
 #include <geom/angle.hpp>
 #include <hw/front_end.hpp>
@@ -27,14 +27,14 @@ TEST_P(RayTracerFuzz, PathInvariantsHold) {
   for (int i = 0; i < obstacles; ++i) {
     room.add_obstacle(channel::make_person(room.random_interior_point(rng, 0.4)));
   }
-  const channel::RayTracer tracer{room};
+  const channel::PathSolver solver{room};
   for (int trial = 0; trial < 8; ++trial) {
     const Vec2 a = room.random_interior_point(rng, 0.3);
     const Vec2 b = room.random_interior_point(rng, 0.3);
     if (geom::distance(a, b) < 0.1) {
       continue;
     }
-    const auto paths = tracer.trace(a, b);
+    const auto paths = solver.solve(a, b);
     ASSERT_FALSE(paths.empty());
     double prev_loss = -1.0;
     for (const auto& p : paths) {
@@ -88,9 +88,9 @@ TEST_P(RayTracerFuzz, ReciprocityOfLoss) {
   channel::Room room{5.0, 5.0};
   const Vec2 a = room.random_interior_point(rng, 0.4);
   const Vec2 b = room.random_interior_point(rng, 0.4);
-  const channel::RayTracer tracer{room};
-  auto forward = tracer.trace(a, b);
-  auto backward = tracer.trace(b, a);
+  const channel::PathSolver solver{room};
+  auto forward = solver.solve(a, b);
+  auto backward = solver.solve(b, a);
   ASSERT_EQ(forward.size(), backward.size());
   for (std::size_t i = 0; i < forward.size(); ++i) {
     EXPECT_NEAR(forward[i].loss.value(), backward[i].loss.value(), 1e-6);
@@ -131,8 +131,8 @@ TEST_P(RayTracerFuzz, LinkSnrFiniteForRandomSteering) {
   channel::Room room{5.0, 5.0};
   const Vec2 a = room.random_interior_point(rng, 0.4);
   const Vec2 b = room.random_interior_point(rng, 0.4);
-  const channel::RayTracer tracer{room};
-  const auto paths = tracer.trace(a, b);
+  const channel::PathSolver solver{room};
+  const auto paths = solver.solve(a, b);
   std::uniform_real_distribution<double> az{0.0, geom::kTwoPi};
   phy::RadioNode tx{a, az(rng)};
   phy::RadioNode rx{b, az(rng)};
