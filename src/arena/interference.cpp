@@ -1,33 +1,110 @@
 #include <arena/interference.hpp>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <vector>
 
 #include <phy/link.hpp>
 #include <phy/radio.hpp>
 
 namespace movr::arena {
 
+namespace {
+
+/// Per-thread scratch of interference_at_headset. Capacity is kept across
+/// calls, so a warmed call does not allocate.
+struct Scratch {
+  std::vector<double> ap_mw;         // foreign-AP term of each aggressor
+  std::vector<std::uint8_t> done;    // aggressor's AP term evaluated
+  std::vector<double> amplitude;     // per path of the current AP group
+  std::vector<std::complex<double>> rx;       // headset response per path
+  std::vector<std::complex<double>> phasors;  // band phasors per path
+  std::vector<phy::PathComponent> components;
+};
+
+bool foreign(const Interferer& aggressor, const core::Scene& victim) {
+  return aggressor.scene != nullptr && aggressor.scene != &victim;
+}
+
+}  // namespace
+
 rf::DbmPower interference_at_headset(const core::Scene& victim,
                                      std::span<const Interferer> aggressors,
                                      const InterferenceConfig& config) {
-  double total_mw = 0.0;
+  thread_local Scratch s;
   const phy::RadioNode& headset = victim.headset().node();
   const geom::Vec2 victim_ap = victim.ap().node().position();
-  for (const Interferer& aggressor : aggressors) {
-    if (aggressor.scene == nullptr || aggressor.scene == &victim) {
+  const phy::LinkConfig& link = victim.config().link;
+  const std::size_t samples = phy::band_samples(link);
+
+  // Pass 1: the foreign APs' terms. A foreign AP transmits concurrently;
+  // its beam (steered for its own user) leaks into the victim's aperture
+  // over the victim room's paths. Aggressors on one physical AP (same
+  // position and power, ~N/K of them) reach the headset over the same
+  // paths, so the path set, the headset's response per path and the band
+  // phasors are evaluated once per AP; each aggressor adds only its own
+  // AP beam's response. Every term equals phy::received_power's bits.
+  s.ap_mw.assign(aggressors.size(), 0.0);
+  s.done.assign(aggressors.size(), 0);
+  for (std::size_t i = 0; i < aggressors.size(); ++i) {
+    if (!foreign(aggressors[i], victim) || s.done[i] != 0) {
       continue;
     }
-    const core::Scene& other = *aggressor.scene;
-    const geom::Vec2 other_ap = other.ap().node().position();
-    if ((other_ap - victim_ap).norm() >= config.same_ap_epsilon_m) {
-      // A foreign AP transmits concurrently; its beam (steered for its
-      // own user) leaks into the victim's aperture over the victim
-      // room's paths.
-      const auto paths = victim.paths_view(other_ap, headset.position());
-      total_mw += phy::received_power(other.ap().node(), headset, *paths,
-                                      victim.config().link)
-                      .milliwatts();
+    const phy::RadioNode& ap = aggressors[i].scene->ap().node();
+    const geom::Vec2 ap_position = ap.position();
+    const rf::DbmPower tx_power = ap.tx_power();
+    const bool concurrent =
+        (ap_position - victim_ap).norm() >= config.same_ap_epsilon_m;
+    if (!concurrent) {
+      continue;  // same AP: airtime-multiplexed, not interfering
     }
+    const auto paths = victim.paths_view(ap_position, headset.position());
+    const std::size_t n = paths->size();
+    s.amplitude.resize(n);
+    s.rx.resize(n);
+    s.phasors.resize(n * samples);
+    s.components.resize(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      const channel::Path& path = (*paths)[p];
+      s.amplitude[p] = std::sqrt((tx_power - path.loss).milliwatts());
+      s.rx[p] = headset.response_toward(path.arrival_azimuth);
+      phy::band_phasors(path.length_m, link,
+                        std::span{s.phasors}.subspan(p * samples, samples));
+      s.components[p].length_m = path.length_m;
+    }
+    const auto add_ap_term = [&](std::size_t j) {
+      const phy::RadioNode& other = aggressors[j].scene->ap().node();
+      for (std::size_t p = 0; p < n; ++p) {
+        s.components[p].base =
+            s.amplitude[p] *
+            other.response_toward((*paths)[p].departure_azimuth) * s.rx[p];
+      }
+      s.ap_mw[j] =
+          phy::band_power(s.components, s.phasors, link.implementation_loss)
+              .milliwatts();
+      s.done[j] = 1;
+    };
+    add_ap_term(i);
+    for (std::size_t j = i + 1; j < aggressors.size(); ++j) {
+      if (foreign(aggressors[j], victim) &&
+          aggressors[j].scene->ap().node().position() == ap_position &&
+          aggressors[j].scene->ap().node().tx_power() == tx_power) {
+        add_ap_term(j);
+      }
+    }
+  }
+
+  // Pass 2: sum in aggressor order, AP term then reflector term, so the
+  // total keeps the per-aggressor summation order.
+  double total_mw = 0.0;
+  for (std::size_t i = 0; i < aggressors.size(); ++i) {
+    const Interferer& aggressor = aggressors[i];
+    if (!foreign(aggressor, victim)) {
+      continue;
+    }
+    total_mw += s.ap_mw[i];
+    const core::Scene& other = *aggressor.scene;
     if (aggressor.via_reflector &&
         aggressor.reflector < other.reflector_count()) {
       // The leased reflector re-radiates its amplified output — stable or
@@ -46,8 +123,8 @@ rf::DbmPower interference_at_headset(const core::Scene& victim,
               [&](double az) {
                 return phy::array_response(tx_array, reflector.to_local(az));
               },
-              [&](double az) { return headset.response_toward(az); },
-              victim.config().link, victim.config().rx_side_loss)
+              [&](double az) { return headset.response_toward(az); }, link,
+              victim.config().rx_side_loss)
               .milliwatts();
     }
   }

@@ -11,9 +11,14 @@ BeamTracker::Result BeamTracker::retarget(Scene& scene,
   Result result;
 
   // Tracked (noisy) headset position, as the VR runtime reports it.
-  std::normal_distribution<double> jitter{0.0, config.tracking_noise_m};
-  const geom::Vec2 tracked = scene.headset().node().position() +
-                             geom::Vec2{jitter(rng), jitter(rng)};
+  // Noiseless tracking draws nothing: std::normal_distribution needs a
+  // positive sigma.
+  geom::Vec2 jitter{};
+  if (config.tracking_noise_m > 0.0) {
+    std::normal_distribution<double> noise{0.0, config.tracking_noise_m};
+    jitter = {noise(rng), noise(rng)};
+  }
+  const geom::Vec2 tracked = scene.headset().node().position() + jitter;
   const double geometric =
       reflector.to_local((tracked - reflector.position()).heading());
 

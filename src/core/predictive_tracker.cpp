@@ -57,8 +57,14 @@ geom::Vec2 PredictiveTracker::predict(sim::Duration horizon) const {
 std::optional<PredictiveTracker::Command> PredictiveTracker::on_pose(
     sim::TimePoint now, geom::Vec2 position, const MovrReflector& reflector,
     std::mt19937_64& rng) {
-  std::normal_distribution<double> jitter{0.0, config_.tracking_noise_m};
-  add_sample(now, position + geom::Vec2{jitter(rng), jitter(rng)});
+  // Noiseless tracking draws nothing: std::normal_distribution needs a
+  // positive sigma.
+  geom::Vec2 jitter{};
+  if (config_.tracking_noise_m > 0.0) {
+    std::normal_distribution<double> noise{0.0, config_.tracking_noise_m};
+    jitter = {noise(rng), noise(rng)};
+  }
+  add_sample(now, position + jitter);
 
   const geom::Vec2 at_actuation = predict(config_.actuation_delay);
   const double predicted_angle =

@@ -6,8 +6,13 @@
 namespace movr::hw {
 
 double CurrentSensor::read(double true_current_a, std::mt19937_64& rng) const {
-  std::normal_distribution<double> noise{0.0, config_.noise_sigma_a};
-  double reading = true_current_a + bias_a_ + noise(rng);
+  // A noiseless sensor draws nothing: std::normal_distribution needs a
+  // positive sigma.
+  const double noise =
+      config_.noise_sigma_a > 0.0
+          ? std::normal_distribution<double>{0.0, config_.noise_sigma_a}(rng)
+          : 0.0;
+  double reading = true_current_a + bias_a_ + noise;
   reading = std::clamp(reading, 0.0, config_.full_scale_a);
   if (config_.quantization_a > 0.0) {
     reading = std::round(reading / config_.quantization_a) * config_.quantization_a;

@@ -40,9 +40,20 @@ void ReflectorFrontEnd::set_gain_code(std::uint32_t code) {
       rf::Decibels{config_.amplifier.min_gain.value() + span * fraction});
 }
 
+rf::Decibels ReflectorFrontEnd::isolation() const {
+  const double tx = tx_.steering();
+  const double rx = rx_.steering();
+  if (tx != isolation_tx_ || rx != isolation_rx_) {
+    isolation_ = leakage_.isolation(tx, rx);
+    isolation_tx_ = tx;
+    isolation_rx_ = rx;
+  }
+  return isolation_;
+}
+
 ReflectorFrontEnd::State ReflectorFrontEnd::process(rf::DbmPower input) const {
   State state;
-  state.isolation = leakage_.isolation(tx_.steering(), rx_.steering());
+  state.isolation = isolation();
 
   const rf::Decibels gain = amplifier_.gain();
   if (!is_loop_stable(gain, state.isolation)) {

@@ -10,6 +10,7 @@
 // code — that constraint is the whole point of the paper's Section 4.
 #pragma once
 
+#include <limits>
 #include <random>
 
 #include <hw/amplifier.hpp>
@@ -82,7 +83,9 @@ class ReflectorFrontEnd {
   };
 
   /// Drives the loop with `input` at the RX array connector (i.e. already
-  /// including the RX array's gain toward the incoming signal).
+  /// including the RX array's gain toward the incoming signal). Const, but
+  /// refreshes the isolation cache below: like the Scene that owns it, a
+  /// front end is used by one thread at a time.
   State process(rf::DbmPower input) const;
 
   // --- the controller's only observable -------------------------------
@@ -100,6 +103,14 @@ class ReflectorFrontEnd {
   Dac gain_dac_;
   std::uint32_t gain_code_{0};
   bool modulating_{false};
+  // LeakageModel::isolation at the beam pair (isolation_tx_, isolation_rx_).
+  // Keyed on the exact steering, so a gain ramp, which calls process() up
+  // to ~128 times per pair, evaluates it once. NaN keys never match.
+  mutable double isolation_tx_{std::numeric_limits<double>::quiet_NaN()};
+  mutable double isolation_rx_{std::numeric_limits<double>::quiet_NaN()};
+  mutable rf::Decibels isolation_{};
+
+  rf::Decibels isolation() const;
 };
 
 }  // namespace movr::hw

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <geom/angle.hpp>
 
@@ -20,16 +21,24 @@ LeakageModel::LeakageModel(const Config& config) : config_{config} {
   }
 }
 
+double LeakageModel::steered_gain(double steering, double toward) const {
+  rf::PhasedArray array{config_.array};
+  array.steer(steering);
+  return array.gain(toward).value();
+}
+
 rf::Decibels LeakageModel::coupling(double theta_tx_rad,
                                     double theta_rx_rad) const {
   // Realised gain of each steered array toward the coupling direction.
-  rf::PhasedArray tx{config_.array};
-  rf::PhasedArray rx{config_.array};
-  tx.steer(theta_tx_rad);
-  rx.steer(theta_rx_rad);
-  const double g_tx = tx.gain(config_.tx_coupling_angle).value();
-  const double g_rx = rx.gain(config_.rx_coupling_angle).value();
+  return coupling_from_gains(
+      steered_gain(theta_tx_rad, config_.tx_coupling_angle),
+      steered_gain(theta_rx_rad, config_.rx_coupling_angle), theta_tx_rad,
+      theta_rx_rad);
+}
 
+rf::Decibels LeakageModel::coupling_from_gains(double g_tx, double g_rx,
+                                               double theta_tx_rad,
+                                               double theta_rx_rad) const {
   // Near-field standing-wave ripple: deterministic in the two angles.
   const double a = config_.ripple_amplitude_db;
   const double ripple =
@@ -49,12 +58,22 @@ rf::Decibels LeakageModel::worst_case_isolation(int grid) const {
   const double lo = 0.02;
   const double hi = geom::kPi - 0.02;
   const double step = (hi - lo) / static_cast<double>(n - 1);
+  // Each array's gain depends on its own steering only: n gains per array,
+  // not one per lattice point.
+  std::vector<double> angle(static_cast<std::size_t>(n));
+  std::vector<double> g_tx(angle.size());
+  std::vector<double> g_rx(angle.size());
+  for (std::size_t i = 0; i < angle.size(); ++i) {
+    angle[i] = lo + step * static_cast<double>(i);
+    g_tx[i] = steered_gain(angle[i], config_.tx_coupling_angle);
+    g_rx[i] = steered_gain(angle[i], config_.rx_coupling_angle);
+  }
   double worst = 1e9;
-  for (int i = 0; i < n; ++i) {
-    const double tx = lo + step * static_cast<double>(i);
-    for (int j = 0; j < n; ++j) {
-      const double rx = lo + step * static_cast<double>(j);
-      worst = std::min(worst, isolation(tx, rx).value());
+  for (std::size_t i = 0; i < angle.size(); ++i) {
+    for (std::size_t j = 0; j < angle.size(); ++j) {
+      const rf::Decibels isolation =
+          -coupling_from_gains(g_tx[i], g_rx[j], angle[i], angle[j]);
+      worst = std::min(worst, isolation.value());
     }
   }
   return rf::Decibels{worst};

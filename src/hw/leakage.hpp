@@ -68,6 +68,13 @@ class LeakageModel {
  private:
   Config config_;
   double ripple_phase_[3]{};
+
+  /// Realised gain (dBi) toward `toward` of an array steered to `steering`.
+  double steered_gain(double steering, double toward) const;
+  /// coupling() from the two arrays' gains toward the coupling directions.
+  rf::Decibels coupling_from_gains(double g_tx, double g_rx,
+                                   double theta_tx_rad,
+                                   double theta_rx_rad) const;
 };
 
 }  // namespace movr::hw

@@ -13,16 +13,18 @@ rf::DbmPower link_noise_floor(const LinkConfig& config) {
   return rf::noise_floor(config.bandwidth_hz, config.noise_figure);
 }
 
-rf::DbmPower wideband_power(std::span<const PathComponent> components,
-                            const LinkConfig& config,
-                            rf::Decibels extra_loss) {
+std::size_t band_samples(const LinkConfig& config) {
+  return static_cast<std::size_t>(std::max(config.frequency_samples, 1));
+}
+
+void band_phasors(double length_m, const LinkConfig& config,
+                  std::span<std::complex<double>> out) {
   // Average the received *power* over frequency points spanning the channel:
   // a 2.16 GHz-wide OFDM signal (or a swept measurement tone) experiences
   // the frequency-averaged fade, not a single-tone null. Across the band
   // only the electrical phase of each path moves appreciably.
-  const int samples = std::max(config.frequency_samples, 1);
-  double total_mw = 0.0;
-  for (int k = 0; k < samples; ++k) {
+  const std::size_t samples = band_samples(config);
+  for (std::size_t k = 0; k < samples; ++k) {
     const double offset =
         samples == 1
             ? 0.0
@@ -30,11 +32,24 @@ rf::DbmPower wideband_power(std::span<const PathComponent> components,
                0.5) *
                   config.bandwidth_hz;
     const double lambda = rf::wavelength(config.carrier_hz + offset);
+    const double electrical_phase =
+        -2.0 * std::numbers::pi * length_m / lambda;
+    out[k] = std::polar(1.0, electrical_phase);
+  }
+}
+
+rf::DbmPower band_power(std::span<const PathComponent> components,
+                        std::span<const std::complex<double>> phasors,
+                        rf::Decibels extra_loss) {
+  if (components.empty()) {
+    return rf::DbmPower{};  // no paths, no energy: the -300 dBm sentinel
+  }
+  const std::size_t samples = phasors.size() / components.size();
+  double total_mw = 0.0;
+  for (std::size_t k = 0; k < samples; ++k) {
     std::complex<double> field{0.0, 0.0};
-    for (const PathComponent& c : components) {
-      const double electrical_phase =
-          -2.0 * std::numbers::pi * c.length_m / lambda;
-      field += c.base * std::polar(1.0, electrical_phase);
+    for (std::size_t p = 0; p < components.size(); ++p) {
+      field += components[p].base * phasors[p * samples + k];
     }
     total_mw += std::norm(field);
   }
@@ -43,6 +58,21 @@ rf::DbmPower wideband_power(std::span<const PathComponent> components,
     return rf::DbmPower{};  // no energy: the -300 dBm sentinel
   }
   return rf::DbmPower::from_milliwatts(total_mw) - extra_loss;
+}
+
+rf::DbmPower wideband_power(std::span<const PathComponent> components,
+                            const LinkConfig& config,
+                            rf::Decibels extra_loss) {
+  // Per-thread scratch that keeps its capacity: a warmed call does not
+  // allocate.
+  thread_local std::vector<std::complex<double>> phasors;
+  const std::size_t samples = band_samples(config);
+  phasors.resize(components.size() * samples);
+  for (std::size_t p = 0; p < components.size(); ++p) {
+    band_phasors(components[p].length_m, config,
+                 std::span{phasors}.subspan(p * samples, samples));
+  }
+  return band_power(components, phasors, extra_loss);
 }
 
 rf::DbmPower received_power(const RadioNode& tx, const RadioNode& rx,

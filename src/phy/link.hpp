@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -47,6 +48,24 @@ struct PathComponent {
 rf::DbmPower wideband_power(std::span<const PathComponent> components,
                             const LinkConfig& config, rf::Decibels extra_loss);
 
+/// Number of frequency points wideband_power averages over (>= 1).
+std::size_t band_samples(const LinkConfig& config);
+
+/// The unit phasor e^{-j 2 pi length_m / lambda} at each of the band's
+/// frequency points: the electrical phase wideband_power gives a path of
+/// that length. Writes band_samples(config) values to `out`.
+void band_phasors(double length_m, const LinkConfig& config,
+                  std::span<std::complex<double>> out);
+
+/// wideband_power with each component's band phasors precomputed:
+/// `phasors[p * samples + k]` is band_phasors(components[p].length_m)[k].
+/// The phasors depend only on the path lengths, so transmitters that reach
+/// one receiver over the same paths (arena interference) share them. Same
+/// loop, same result bits as wideband_power.
+rf::DbmPower band_power(std::span<const PathComponent> components,
+                        std::span<const std::complex<double>> phasors,
+                        rf::Decibels extra_loss);
+
 /// Frequency-averaged power delivered over `paths` by a transmitter of
 /// `tx_power`, minus `extra_loss`. `tx_response` and `rx_response` map a
 /// global azimuth to each end's complex far-field factor. Every reduction
@@ -55,14 +74,16 @@ rf::DbmPower wideband_power(std::span<const PathComponent> components,
 /// header template so callers pass their responses as lambdas without a
 /// type-erased call per path; instantiated in the caller's translation
 /// unit, its wideband_power call stays an external call, which is where
-/// movrbench's traced driver counts phy.link work.
+/// movrbench's traced driver counts phy.link work. The components live in
+/// per-thread scratch that keeps its capacity, so a warmed call does not
+/// allocate.
 template <typename FTx, typename FRx>
 rf::DbmPower path_power(rf::DbmPower tx_power,
                         std::span<const channel::Path> paths,
                         FTx&& tx_response, FRx&& rx_response,
                         const LinkConfig& config, rf::Decibels extra_loss) {
-  std::vector<PathComponent> components;
-  components.reserve(paths.size());
+  thread_local std::vector<PathComponent> components;
+  components.clear();
   for (const channel::Path& path : paths) {
     const double amplitude = std::sqrt((tx_power - path.loss).milliwatts());
     components.push_back({amplitude * tx_response(path.departure_azimuth) *

@@ -18,8 +18,12 @@ Decibels estimate_snr(Decibels true_snr, int symbols, std::mt19937_64& rng) {
 
 DbmPower measure_power(DbmPower true_power, double sigma_db,
                        DbmPower sensitivity, std::mt19937_64& rng) {
-  std::normal_distribution<double> err{0.0, sigma_db};
-  const double reading = true_power.value() + err(rng);
+  // A noiseless meter draws nothing: std::normal_distribution needs a
+  // positive sigma.
+  const double err =
+      sigma_db > 0.0 ? std::normal_distribution<double>{0.0, sigma_db}(rng)
+                     : 0.0;
+  const double reading = true_power.value() + err;
   return DbmPower{std::max(reading, sensitivity.value())};
 }
 

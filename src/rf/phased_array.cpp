@@ -62,7 +62,12 @@ double PhasedArray::element_pattern_db(double local_angle_rad) const {
 }
 
 Decibels PhasedArray::gain(double local_angle_rad) const {
-  const double af_power = std::norm(field(local_angle_rad));
+  return gain(local_angle_rad, field(local_angle_rad));
+}
+
+Decibels PhasedArray::gain(double local_angle_rad,
+                           std::complex<double> field_at_angle) const {
+  const double af_power = std::norm(field_at_angle);
   const double af_db =
       10.0 * std::log10(std::max(af_power, 1e-12));
   const double af_floored = std::max(af_db, config_.scattering_floor.value());

@@ -56,6 +56,10 @@ class PhasedArray {
   /// steering, including element pattern, array factor, quantisation error
   /// and the scattering floor.
   Decibels gain(double local_angle_rad) const;
+  /// The same gain from `field_at_angle`, which must be field(local_angle_rad)
+  /// — for callers that need both and evaluate the array factor once.
+  Decibels gain(double local_angle_rad,
+                std::complex<double> field_at_angle) const;
 
   /// Gain at the steering angle with ideal phases: element gain + 10 log N.
   Decibels peak_gain() const;
