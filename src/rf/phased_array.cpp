@@ -20,7 +20,7 @@ PhasedArray::PhasedArray(const Config& config)
   if (config_.spacing_wavelengths <= 0.0) {
     throw std::invalid_argument{"PhasedArray: spacing must be positive"};
   }
-  element_phases_.resize(static_cast<std::size_t>(config_.elements));
+  weights_.resize(static_cast<std::size_t>(config_.elements));
   steer(steering_);
 }
 
@@ -30,18 +30,20 @@ void PhasedArray::steer(double local_angle_rad) {
   // phase toward the steering angle. k*d in radians per element:
   const double kd = kTwoPi * config_.spacing_wavelengths;
   const double progressive = -kd * std::cos(steering_);
-  for (std::size_t i = 0; i < element_phases_.size(); ++i) {
-    element_phases_[i] = shifter_.realize(progressive * static_cast<double>(i));
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    weights_[i] = std::polar(
+        1.0, shifter_.realize(progressive * static_cast<double>(i)));
   }
 }
 
 std::complex<double> PhasedArray::field(double local_angle_rad) const {
+  // Element i adds w_i z^i with z = e^{j psi}, psi = k d cos(angle): the
+  // sum is a polynomial in z, evaluated by Horner's rule from one sincos.
   const double kd = kTwoPi * config_.spacing_wavelengths;
-  const double psi = kd * std::cos(local_angle_rad);
-  std::complex<double> sum{0.0, 0.0};
-  for (std::size_t i = 0; i < element_phases_.size(); ++i) {
-    const double phase = psi * static_cast<double>(i) + element_phases_[i];
-    sum += std::polar(1.0, phase);
+  const std::complex<double> z = std::polar(1.0, kd * std::cos(local_angle_rad));
+  std::complex<double> sum = weights_.back();
+  for (std::size_t i = weights_.size() - 1; i-- > 0;) {
+    sum = sum * z + weights_[i];
   }
   return sum / static_cast<double>(config_.elements);
 }

@@ -68,14 +68,16 @@ class PhasedArray {
   double beamwidth_3db() const;
 
   /// Complex far-field amplitude (normalised to peak = 1) toward the angle —
-  /// exposed so the channel can sum multipath coherently.
+  /// exposed so the channel can sum multipath coherently. Agrees with the
+  /// per-element sum (1/N) sum_i e^{j(i psi + phase_i)} to within 1e-12.
   std::complex<double> field(double local_angle_rad) const;
 
  private:
   Config config_;
   PhaseShifter shifter_;
   double steering_{1.5707963267948966};  // boresight
-  std::vector<double> element_phases_;   // realised phases, radians
+  /// e^{j phase_i} of each element's realised phase, refreshed by steer().
+  std::vector<std::complex<double>> weights_;
 
   double element_pattern_db(double local_angle_rad) const;
 };
