@@ -36,7 +36,6 @@ rf::DbmPower interference_at_headset(const core::Scene& victim,
   const phy::RadioNode& headset = victim.headset().node();
   const geom::Vec2 victim_ap = victim.ap().node().position();
   const phy::LinkConfig& link = victim.config().link;
-  const std::size_t samples = phy::band_samples(link);
 
   // Pass 1: the foreign APs' terms. A foreign AP transmits concurrently;
   // its beam (steered for its own user) leaks into the victim's aperture
@@ -63,16 +62,15 @@ rf::DbmPower interference_at_headset(const core::Scene& victim,
     const std::size_t n = paths->size();
     s.amplitude.resize(n);
     s.rx.resize(n);
-    s.phasors.resize(n * samples);
+    s.phasors.resize(phy::band_samples(link) * n);
     s.components.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
       const channel::Path& path = (*paths)[p];
       s.amplitude[p] = std::sqrt((tx_power - path.loss).milliwatts());
       s.rx[p] = headset.response_toward(path.arrival_azimuth);
-      phy::band_phasors(path.length_m, link,
-                        std::span{s.phasors}.subspan(p * samples, samples));
       s.components[p].length_m = path.length_m;
     }
+    phy::band_phasors(s.components, link, s.phasors);
     const auto add_ap_term = [&](std::size_t j) {
       const phy::RadioNode& other = aggressors[j].scene->ap().node();
       for (std::size_t p = 0; p < n; ++p) {

@@ -17,13 +17,15 @@ std::size_t band_samples(const LinkConfig& config) {
   return static_cast<std::size_t>(std::max(config.frequency_samples, 1));
 }
 
-void band_phasors(double length_m, const LinkConfig& config,
+void band_phasors(std::span<const PathComponent> components,
+                  const LinkConfig& config,
                   std::span<std::complex<double>> out) {
   // Average the received *power* over frequency points spanning the channel:
   // a 2.16 GHz-wide OFDM signal (or a swept measurement tone) experiences
   // the frequency-averaged fade, not a single-tone null. Across the band
   // only the electrical phase of each path moves appreciably.
   const std::size_t samples = band_samples(config);
+  const std::size_t n = components.size();
   for (std::size_t k = 0; k < samples; ++k) {
     const double offset =
         samples == 1
@@ -32,24 +34,27 @@ void band_phasors(double length_m, const LinkConfig& config,
                0.5) *
                   config.bandwidth_hz;
     const double lambda = rf::wavelength(config.carrier_hz + offset);
-    const double electrical_phase =
-        -2.0 * std::numbers::pi * length_m / lambda;
-    out[k] = std::polar(1.0, electrical_phase);
+    for (std::size_t p = 0; p < n; ++p) {
+      const double electrical_phase =
+          -2.0 * std::numbers::pi * components[p].length_m / lambda;
+      out[k * n + p] = std::polar(1.0, electrical_phase);
+    }
   }
 }
 
 rf::DbmPower band_power(std::span<const PathComponent> components,
                         std::span<const std::complex<double>> phasors,
                         rf::Decibels extra_loss) {
-  if (components.empty()) {
+  const std::size_t n = components.size();
+  if (n == 0) {
     return rf::DbmPower{};  // no paths, no energy: the -300 dBm sentinel
   }
-  const std::size_t samples = phasors.size() / components.size();
+  const std::size_t samples = phasors.size() / n;
   double total_mw = 0.0;
   for (std::size_t k = 0; k < samples; ++k) {
     std::complex<double> field{0.0, 0.0};
-    for (std::size_t p = 0; p < components.size(); ++p) {
-      field += components[p].base * phasors[p * samples + k];
+    for (std::size_t p = 0; p < n; ++p) {
+      field += components[p].base * phasors[k * n + p];
     }
     total_mw += std::norm(field);
   }
@@ -66,12 +71,8 @@ rf::DbmPower wideband_power(std::span<const PathComponent> components,
   // Per-thread scratch that keeps its capacity: a warmed call does not
   // allocate.
   thread_local std::vector<std::complex<double>> phasors;
-  const std::size_t samples = band_samples(config);
-  phasors.resize(components.size() * samples);
-  for (std::size_t p = 0; p < components.size(); ++p) {
-    band_phasors(components[p].length_m, config,
-                 std::span{phasors}.subspan(p * samples, samples));
-  }
+  phasors.resize(band_samples(config) * components.size());
+  band_phasors(components, config, phasors);
   return band_power(components, phasors, extra_loss);
 }
 

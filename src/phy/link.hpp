@@ -51,16 +51,18 @@ rf::DbmPower wideband_power(std::span<const PathComponent> components,
 /// Number of frequency points wideband_power averages over (>= 1).
 std::size_t band_samples(const LinkConfig& config);
 
-/// The unit phasor e^{-j 2 pi length_m / lambda} at each of the band's
-/// frequency points: the electrical phase wideband_power gives a path of
-/// that length. Writes band_samples(config) values to `out`.
-void band_phasors(double length_m, const LinkConfig& config,
+/// The unit phasor e^{-j 2 pi length / lambda_k} of every component at each
+/// of the band's frequency points k: the electrical phase wideband_power
+/// gives each path. `out[k * components.size() + p]` is component p's at
+/// point k; `out` holds band_samples(config) * components.size() values.
+/// Only the components' lengths are read.
+void band_phasors(std::span<const PathComponent> components,
+                  const LinkConfig& config,
                   std::span<std::complex<double>> out);
 
-/// wideband_power with each component's band phasors precomputed:
-/// `phasors[p * samples + k]` is band_phasors(components[p].length_m)[k].
-/// The phasors depend only on the path lengths, so transmitters that reach
-/// one receiver over the same paths (arena interference) share them. Same
+/// wideband_power with the band phasors precomputed by band_phasors. The
+/// phasors depend only on the path lengths, so transmitters that reach one
+/// receiver over the same paths (arena interference) share them. Same
 /// loop, same result bits as wideband_power.
 rf::DbmPower band_power(std::span<const PathComponent> components,
                         std::span<const std::complex<double>> phasors,
