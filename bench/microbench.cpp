@@ -7,10 +7,14 @@
 // the scalar APIs (solve() / a deep copy of paths_view() per pair) against
 // the batch stack (solve_batch / query_batch), with a bit-identity
 // cross-check and a hard gate on the warmed oracle speedup (DESIGN.md §11
-// promises >= 10x). The summary writes the BENCH_microbench.json artifact
-// via the shared bench::Json emitter; CI regenerates and uploads it.
+// promises >= 10x). It also times the link-budget kernels the arena spends
+// its time in: the array factor, one array response and one 32-user
+// interference penalty. The summary writes the BENCH_microbench.json
+// artifact via the shared bench::Json emitter; CI regenerates and uploads
+// it.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -18,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include <arena/interference.hpp>
 #include <channel/path_batch.hpp>
 #include <channel/path_solver.hpp>
 #include <core/channel_oracle.hpp>
@@ -30,6 +35,7 @@
 #include <rf/codebook.hpp>
 #include <sim/rng.hpp>
 
+#include "arena_world.hpp"
 #include "bench_util.hpp"
 
 namespace {
@@ -77,6 +83,28 @@ void BM_ArrayGain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArrayGain);
+
+void BM_ArrayField(benchmark::State& state) {
+  rf::PhasedArray array;
+  array.steer(deg_to_rad(75.0));
+  double angle = 0.4;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(array.field(angle));
+    angle += 1e-4;
+  }
+}
+BENCHMARK(BM_ArrayField);
+
+void BM_ArrayResponse(benchmark::State& state) {
+  rf::PhasedArray array;
+  array.steer(deg_to_rad(75.0));
+  double angle = 0.4;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(phy::array_response(array, angle));
+    angle += 1e-4;
+  }
+}
+BENCHMARK(BM_ArrayResponse);
 
 void BM_ArraySteer(benchmark::State& state) {
   rf::PhasedArray array;
@@ -247,6 +275,53 @@ void BM_ViaReflectorSnr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViaReflectorSnr);
+
+/// One arena frame at fixed steering: bench/arena's room with `users`
+/// users spread over the four APs' quadrants, users 4-7 riding the four
+/// reflectors, and user 0 the victim of everyone else's beams.
+struct ArenaFrame {
+  std::vector<core::Scene> scenes;
+  std::vector<arena::Interferer> aggressors;
+
+  explicit ArenaFrame(std::size_t users) {
+    const core::Scene world = bench::arena_scene();
+    scenes.reserve(users);
+    for (std::size_t u = 0; u < users; ++u) {
+      core::Scene scene = world.clone();
+      const geom::Vec2 ap = bench::kApPositions[u % 4];
+      const geom::Vec2 toward = (bench::kCenter - ap).normalized();
+      const geom::Vec2 perp{-toward.y, toward.x};
+      const double k = static_cast<double>(u / 4);
+      scene.ap().node().set_position(ap);
+      scene.ap().node().set_orientation(
+          deg_to_rad(bench::kApOrientationsDeg[u % 4]));
+      scene.headset().node().set_position(ap + toward * (1.8 + 0.17 * k) +
+                                          perp * (0.25 * k - 0.9));
+      bench::steer_direct(scene);
+      scenes.push_back(std::move(scene));
+    }
+    std::mt19937_64 rng{1};
+    for (std::size_t u = 4; u < std::min<std::size_t>(users, 8); ++u) {
+      bench::calibrate_reflector(scenes[u], scenes[u].reflector(u - 4), rng);
+    }
+    for (std::size_t u = 1; u < users; ++u) {
+      const bool via = u >= 4 && u < 8;
+      aggressors.push_back({&scenes[u], via, via ? u - 4 : 0});
+    }
+  }
+
+  double penalty() const {
+    return arena::sinr_penalty_db(scenes[0], aggressors, {});
+  }
+};
+
+void BM_SinrPenalty(benchmark::State& state) {
+  const ArenaFrame frame{static_cast<std::size_t>(state.range(0))};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(frame.penalty());
+  }
+}
+BENCHMARK(BM_SinrPenalty)->Arg(32);
 
 void BM_LeakageEval(benchmark::State& state) {
   const hw::LeakageModel model;
@@ -438,6 +513,25 @@ int batch_speedup_summary(const std::string& json_path) {
   run_ticks(200);  // warm every pool to steady state
   const double tick_ns = ns_per_pass([&] { run_ticks(100); }) / 100.0;
 
+  // Link-budget tier (the arena's hot spot, DESIGN.md §11.4): the array
+  // factor, one array response and one 32-user interference penalty, warm.
+  rf::PhasedArray array;
+  array.steer(deg_to_rad(75.0));
+  constexpr int kAngles = 1000;
+  const auto sweep_ns = [&](auto&& eval) {
+    return ns_per_pass([&] {
+      for (int i = 0; i < kAngles; ++i) {
+        benchmark::DoNotOptimize(eval(0.4 + 2e-3 * i));
+      }
+    }) / kAngles;
+  };
+  const double field_ns = sweep_ns([&](double a) { return array.field(a); });
+  const double response_ns =
+      sweep_ns([&](double a) { return phy::array_response(array, a); });
+  const ArenaFrame frame{32};
+  const double penalty_ns =
+      ns_per_pass([&] { benchmark::DoNotOptimize(frame.penalty()); });
+
   const double n_d = static_cast<double>(n);
   const double solver_speedup = solver_scalar_ns / solver_batch_ns;
   const double oracle_speedup = oracle_scalar_ns / oracle_batch_ns;
@@ -455,6 +549,9 @@ int batch_speedup_summary(const std::string& json_path) {
               oracle_batch_ns / n_d, oracle_speedup);
   std::printf("  transport steady tick   : %8.1f ns/tick (arena %zu B)\n",
               tick_ns, transport.arena_bytes());
+  std::printf("  array field()           : %8.1f ns\n", field_ns);
+  std::printf("  array_response()        : %8.1f ns\n", response_ns);
+  std::printf("  sinr_penalty, 32 users  : %8.1f ns\n", penalty_ns);
 
   bench::Json doc = bench::Json::object();
   doc.set("bench", "microbench_batch_vs_scalar");
@@ -481,6 +578,10 @@ int batch_speedup_summary(const std::string& json_path) {
               .set("steady_tick_ns", tick_ns)
               .set("arena_bytes",
                    static_cast<std::uint64_t>(transport.arena_bytes())));
+  doc.set("link_budget", bench::Json::object()
+                             .set("array_field_ns", field_ns)
+                             .set("array_response_ns", response_ns)
+                             .set("sinr_penalty_32_users_ns", penalty_ns));
   if (!bench::emit_json(json_path, doc)) {
     return 1;
   }

@@ -19,7 +19,7 @@ struct Scratch {
   std::vector<std::uint8_t> done;    // aggressor's AP term evaluated
   std::vector<double> amplitude;     // per path of the current AP group
   std::vector<std::complex<double>> rx;       // headset response per path
-  std::vector<std::complex<double>> phasors;  // band phasors per path
+  std::vector<std::complex<double>> phasors;  // phy::band_phasors table
   std::vector<phy::PathComponent> components;
 };
 

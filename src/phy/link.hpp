@@ -70,15 +70,15 @@ rf::DbmPower band_power(std::span<const PathComponent> components,
 
 /// Frequency-averaged power delivered over `paths` by a transmitter of
 /// `tx_power`, minus `extra_loss`. `tx_response` and `rx_response` map a
-/// global azimuth to each end's complex far-field factor. Every reduction
-/// from paths to power — the direct link, the relay hops in
-/// movr::core::Scene and arena interference — goes through here. It is a
-/// header template so callers pass their responses as lambdas without a
-/// type-erased call per path; instantiated in the caller's translation
-/// unit, its wideband_power call stays an external call, which is where
-/// movrbench's traced driver counts phy.link work. The components live in
-/// per-thread scratch that keeps its capacity, so a warmed call does not
-/// allocate.
+/// global azimuth to each end's complex far-field factor. The direct link,
+/// the relay hops in movr::core::Scene and arena interference's reflector
+/// terms go through here (its foreign-AP terms share their phasors and
+/// call band_power directly). It is a header template so callers pass
+/// their responses as lambdas without a type-erased call per path;
+/// instantiated in the caller's translation unit, its wideband_power call
+/// stays an external call, which is where movrbench's traced driver counts
+/// phy.link work. The components live in per-thread scratch that keeps its
+/// capacity, so a warmed call does not allocate.
 template <typename FTx, typename FRx>
 rf::DbmPower path_power(rf::DbmPower tx_power,
                         std::span<const channel::Path> paths,

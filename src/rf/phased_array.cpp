@@ -40,7 +40,8 @@ std::complex<double> PhasedArray::field(double local_angle_rad) const {
   // Element i adds w_i z^i with z = e^{j psi}, psi = k d cos(angle): the
   // sum is a polynomial in z, evaluated by Horner's rule from one sincos.
   const double kd = kTwoPi * config_.spacing_wavelengths;
-  const std::complex<double> z = std::polar(1.0, kd * std::cos(local_angle_rad));
+  const std::complex<double> z =
+      std::polar(1.0, kd * std::cos(local_angle_rad));
   std::complex<double> sum = weights_.back();
   for (std::size_t i = weights_.size() - 1; i-- > 0;) {
     sum = sum * z + weights_[i];

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <geom/angle.hpp>
 #include <hw/front_end.hpp>
 #include <hw/leakage.hpp>
@@ -61,6 +63,21 @@ TEST(Leakage, IsolationIsNegatedCoupling) {
             -model.coupling(1.0, 1.2).value());
 }
 
+TEST(Leakage, WorstCaseIsolationMatchesBruteForceScan) {
+  const LeakageModel model;
+  const int n = 48;
+  const double lo = 0.02;
+  const double step = (movr::geom::kPi - 0.02 - lo) / (n - 1);
+  double worst = 1e9;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      worst = std::min(worst, model.isolation(lo + step * i, lo + step * j)
+                                  .value());
+    }
+  }
+  EXPECT_EQ(model.worst_case_isolation(n).value(), worst);
+}
+
 TEST(Stability, MarginAndCriterion) {
   EXPECT_TRUE(is_loop_stable(Decibels{40.0}, Decibels{50.0}));
   EXPECT_FALSE(is_loop_stable(Decibels{50.0}, Decibels{50.0}));
@@ -102,6 +119,40 @@ TEST(FrontEnd, GainCodeMapsToGainRange) {
   fe.set_gain_code(fe.max_gain_code());
   EXPECT_NEAR(fe.amplifier_gain().value(),
               fe.config().amplifier.max_gain.value(), 1e-9);
+}
+
+TEST(FrontEnd, ProcessIsolationFollowsSteering) {
+  // process() caches the loop isolation per beam pair; every steering
+  // change, power cycle and copy must still see LeakageModel's exact value.
+  const LeakageModel model;
+  const auto expect_model = [&](const ReflectorFrontEnd& fe) {
+    EXPECT_EQ(fe.process(DbmPower{-60.0}).isolation.value(),
+              model
+                  .isolation(fe.tx_array().steering(),
+                             fe.rx_array().steering())
+                  .value());
+  };
+  ReflectorFrontEnd fe;
+  expect_model(fe);
+  fe.steer_rx(deg_to_rad(65.0));
+  expect_model(fe);
+  fe.steer_tx(deg_to_rad(110.0));
+  expect_model(fe);
+  expect_model(fe);  // cached pair
+  fe.steer_rx(deg_to_rad(50.0));
+  fe.steer_tx(deg_to_rad(80.0));
+  expect_model(fe);
+
+  ReflectorFrontEnd copy = fe;
+  expect_model(copy);
+  copy.steer_tx(deg_to_rad(130.0));
+  expect_model(copy);
+  expect_model(fe);  // the original keeps its own pair
+
+  fe.power_cycle();
+  expect_model(fe);
+  fe = copy;
+  expect_model(fe);
 }
 
 TEST(FrontEnd, GainCodeMonotone) {

@@ -11,16 +11,22 @@
 // event cascade run_until() drives (air, acks, deadlines, FEC recovery,
 // retransmissions), and the batched oracle query path. finalize()/reset()
 // are deliberately outside the window — building a metrics histogram
-// between sessions may allocate; the per-tick path may not.
+// between sessions may allocate; the per-tick path may not. The same rule
+// holds for the per-frame link budget: warmed direct/via SNR reads and the
+// arena's SINR penalty at fixed steering.
 #include "net_alloc_hook.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
+#include <arena/interference.hpp>
 #include <channel/path_batch.hpp>
 #include <channel/path_solver.hpp>
 #include <core/channel_oracle.hpp>
+#include <core/scene.hpp>
+#include <geom/angle.hpp>
 #include <net/transport.hpp>
 #include <phy/mcs.hpp>
 #include <sim/simulator.hpp>
@@ -231,6 +237,86 @@ TEST(NetAllocRegression, RecycledBatchSlotsAreHeapFree) {
   EXPECT_EQ(oracle.stats().misses, warm.size() + mixed.size());
   EXPECT_EQ(oracle_allocs, cache_allocs)
       << "query_batch allocated beyond its cache entries";
+}
+
+/// An 8x8 m room with one reflector per wall midpoint; the AP sits in a
+/// corner and both beams point at the user's headset.
+core::Scene corner_user(geom::Vec2 ap, geom::Vec2 user) {
+  core::Scene scene{channel::Room{8.0, 8.0},
+                    core::ApRadio{ap, (user - ap).heading()},
+                    core::HeadsetRadio{user, 0.0}};
+  scene.add_reflector({4.0, 7.7}, geom::deg_to_rad(265.0));
+  scene.add_reflector({7.7, 4.0}, geom::deg_to_rad(175.0));
+  scene.add_reflector({0.3, 4.0}, geom::deg_to_rad(355.0));
+  scene.add_reflector({4.0, 0.3}, geom::deg_to_rad(85.0));
+  scene.ap().node().steer_toward(user);
+  scene.headset().node().face_toward(ap);
+  return scene;
+}
+
+/// Aims reflector `r` from the AP to the headset at a mid gain code and
+/// points the AP at it.
+void ride_reflector(core::Scene& scene, std::size_t r) {
+  core::MovrReflector& reflector = scene.reflector(r);
+  reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
+  reflector.front_end().steer_tx(
+      scene.true_reflector_angle_to_headset(reflector));
+  reflector.front_end().set_gain_code(200);
+  scene.ap().node().steer_toward(reflector.position());
+}
+
+TEST(NetAllocRegression, WarmedLinkBudgetIsHeapFree) {
+  // At fixed steering, once the oracle holds every hop and the per-thread
+  // path scratch has grown, a link-budget read is pure math: no component
+  // vector per path_power call and no arrays built for the loop isolation.
+  core::Scene direct = corner_user({0.4, 0.4}, {3.1, 2.2});
+  core::Scene via = corner_user({0.4, 0.4}, {3.1, 2.2});
+  ride_reflector(via, 1);
+  const core::MovrReflector& reflector = via.reflector(1);
+  double sink =
+      direct.direct_snr().value() + via.via_snr(reflector).snr.value();
+
+  testing::alloc_counter_start();
+  for (int i = 0; i < 16; ++i) {
+    sink += direct.direct_snr().value();
+    sink += via.via_snr(reflector).snr.value();
+  }
+  const std::uint64_t allocs = testing::alloc_counter_stop();
+  EXPECT_EQ(allocs, 0u) << "warmed direct_snr/via_snr touched the heap "
+                        << allocs << " time(s)";
+  EXPECT_TRUE(std::isfinite(sink));
+}
+
+TEST(NetAllocRegression, WarmedSinrPenaltyIsHeapFree) {
+  // Eight users on the four corner APs, one riding a reflector: the
+  // victim-side scratch of interference_at_headset keeps its capacity, so a
+  // warmed penalty at fixed steering does not allocate.
+  const geom::Vec2 corners[4] = {
+      {0.4, 0.4}, {7.6, 0.4}, {7.6, 7.6}, {0.4, 7.6}};
+  std::vector<core::Scene> scenes;
+  scenes.reserve(8);
+  for (std::size_t u = 0; u < 8; ++u) {
+    const geom::Vec2 ap = corners[u % 4];
+    const geom::Vec2 toward = (geom::Vec2{4.0, 4.0} - ap).normalized();
+    scenes.push_back(corner_user(
+        ap, ap + toward * (2.0 + 0.3 * static_cast<double>(u / 4))));
+  }
+  ride_reflector(scenes[5], 1);
+  std::vector<arena::Interferer> aggressors;
+  for (std::size_t u = 1; u < scenes.size(); ++u) {
+    aggressors.push_back({&scenes[u], u == 5, 1});
+  }
+  const arena::InterferenceConfig config;
+  double sink = arena::sinr_penalty_db(scenes[0], aggressors, config);
+
+  testing::alloc_counter_start();
+  for (int i = 0; i < 16; ++i) {
+    sink += arena::sinr_penalty_db(scenes[0], aggressors, config);
+  }
+  const std::uint64_t allocs = testing::alloc_counter_stop();
+  EXPECT_EQ(allocs, 0u) << "warmed sinr_penalty_db touched the heap "
+                        << allocs << " time(s)";
+  EXPECT_GT(sink, 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <rf/phased_array.hpp>
 
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -166,6 +168,58 @@ TEST(PhasedArray, MoreElementsNarrowerBeam) {
   PhasedArray big{big_cfg};
   EXPECT_LT(big.beamwidth_3db(), small.beamwidth_3db());
   EXPECT_GT(big.peak_gain().value(), small.peak_gain().value());
+}
+
+/// The array factor as the element sum it models, one std::polar per
+/// element: (1/N) sum_i e^{j(i psi + phase_i)}, with phase_i the shifter's
+/// realisation of the progressive steering phase.
+std::complex<double> per_element_field(const PhasedArray::Config& config,
+                                       double steering, double angle) {
+  const PhaseShifter shifter{config.phase_bits};
+  const double kd = movr::geom::kTwoPi * config.spacing_wavelengths;
+  const double progressive = -kd * std::cos(movr::geom::wrap_two_pi(steering));
+  const double psi = kd * std::cos(angle);
+  std::complex<double> sum{0.0, 0.0};
+  for (int i = 0; i < config.elements; ++i) {
+    const double phase = psi * static_cast<double>(i) +
+                         shifter.realize(progressive * static_cast<double>(i));
+    sum += std::polar(1.0, phase);
+  }
+  return sum / static_cast<double>(config.elements);
+}
+
+TEST(PhasedArray, FieldMatchesPerElementSum) {
+  // Steering and look angles span the sector, both endfires and the back
+  // lobe behind the ground plane.
+  const std::vector<double> steerings{0.0,       0.02, deg_to_rad(40.0),
+                                      kPi / 2.0, 2.3,  kPi - 0.02,
+                                      kPi,       4.0,  5.9};
+  std::vector<double> angles{0.0, kPi / 2.0, kPi, 1.5 * kPi};
+  for (double a = 0.013; a < movr::geom::kTwoPi; a += 0.037) {
+    angles.push_back(a);
+  }
+  for (const int elements : {1, 2, 10, 16}) {
+    for (const int bits : {0, 3}) {
+      PhasedArray::Config config;
+      config.elements = elements;
+      config.phase_bits = bits;
+      PhasedArray array{config};
+      for (const double steering : steerings) {
+        array.steer(steering);
+        for (const double angle : angles) {
+          const std::complex<double> reference =
+              per_element_field(config, steering, angle);
+          EXPECT_LE(std::abs(array.field(angle) - reference), 1e-12)
+              << elements << " elements, " << bits << " bits, steering "
+              << steering << ", angle " << angle;
+          EXPECT_NEAR(array.gain(angle).value(),
+                      array.gain(angle, reference).value(), 1e-9)
+              << elements << " elements, " << bits << " bits, steering "
+              << steering << ", angle " << angle;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
