@@ -71,8 +71,9 @@ TEST(Leakage, WorstCaseIsolationMatchesBruteForceScan) {
   double worst = 1e9;
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      worst = std::min(worst, model.isolation(lo + step * i, lo + step * j)
-                                  .value());
+      const double isolation =
+          model.isolation(lo + step * i, lo + step * j).value();
+      worst = std::min(worst, isolation);
     }
   }
   EXPECT_EQ(model.worst_case_isolation(n).value(), worst);
@@ -126,11 +127,10 @@ TEST(FrontEnd, ProcessIsolationFollowsSteering) {
   // change, power cycle and copy must still see LeakageModel's exact value.
   const LeakageModel model;
   const auto expect_model = [&](const ReflectorFrontEnd& fe) {
+    const double tx = fe.tx_array().steering();
+    const double rx = fe.rx_array().steering();
     EXPECT_EQ(fe.process(DbmPower{-60.0}).isolation.value(),
-              model
-                  .isolation(fe.tx_array().steering(),
-                             fe.rx_array().steering())
-                  .value());
+              model.isolation(tx, rx).value());
   };
   ReflectorFrontEnd fe;
   expect_model(fe);
