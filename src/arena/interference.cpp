@@ -18,6 +18,7 @@ struct Scratch {
   std::vector<double> ap_mw;         // foreign-AP term of each aggressor
   std::vector<std::uint8_t> done;    // aggressor's AP term evaluated
   std::vector<double> amplitude;     // per path of the current AP group
+  std::vector<rf::PhasedArray::Look> look;    // AP array's look per path
   std::vector<std::complex<double>> rx;       // headset response per path
   std::vector<std::complex<double>> phasors;  // phy::band_phasors table
   std::vector<phy::PathComponent> components;
@@ -25,6 +26,14 @@ struct Scratch {
 
 bool foreign(const Interferer& aggressor, const core::Scene& victim) {
   return aggressor.scene != nullptr && aggressor.scene != &victim;
+}
+
+/// APs that reach a headset over the same paths with the same power, and
+/// whose arrays see each path's departure with the same Look.
+bool same_ap_group(const phy::RadioNode& a, const phy::RadioNode& b) {
+  return a.position() == b.position() && a.tx_power() == b.tx_power() &&
+         a.orientation() == b.orientation() &&
+         a.array().shares_look(b.array());
 }
 
 }  // namespace
@@ -40,10 +49,12 @@ rf::DbmPower interference_at_headset(const core::Scene& victim,
   // Pass 1: the foreign APs' terms. A foreign AP transmits concurrently;
   // its beam (steered for its own user) leaks into the victim's aperture
   // over the victim room's paths. Aggressors on one physical AP (same
-  // position and power, ~N/K of them) reach the headset over the same
-  // paths, so the path set, the headset's response per path and the band
-  // phasors are evaluated once per AP; each aggressor adds only its own
-  // AP beam's response. Every term equals phy::received_power's bits.
+  // position, power, orientation and array model, ~N/K of them) reach the
+  // headset over the same paths and see each path leave at the same local
+  // angle, so the path set, the headset's response per path, the AP
+  // array's Look per path and the band phasors are evaluated once per AP;
+  // each aggressor adds only its own beam's Horner sum per path. Every
+  // term equals phy::received_power's bits.
   s.ap_mw.assign(aggressors.size(), 0.0);
   s.done.assign(aggressors.size(), 0);
   for (std::size_t i = 0; i < aggressors.size(); ++i) {
@@ -61,22 +72,23 @@ rf::DbmPower interference_at_headset(const core::Scene& victim,
     const auto paths = victim.paths_view(ap_position, headset.position());
     const std::size_t n = paths->size();
     s.amplitude.resize(n);
+    s.look.resize(n);
     s.rx.resize(n);
     s.phasors.resize(phy::band_samples(link) * n);
     s.components.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
       const channel::Path& path = (*paths)[p];
       s.amplitude[p] = std::sqrt((tx_power - path.loss).milliwatts());
+      s.look[p] = ap.array().look(ap.to_local(path.departure_azimuth));
       s.rx[p] = headset.response_toward(path.arrival_azimuth);
       s.components[p].length_m = path.length_m;
     }
     phy::band_phasors(s.components, link, s.phasors);
     const auto add_ap_term = [&](std::size_t j) {
-      const phy::RadioNode& other = aggressors[j].scene->ap().node();
+      const rf::PhasedArray& array = aggressors[j].scene->ap().node().array();
       for (std::size_t p = 0; p < n; ++p) {
         s.components[p].base =
-            s.amplitude[p] *
-            other.response_toward((*paths)[p].departure_azimuth) * s.rx[p];
+            s.amplitude[p] * phy::array_response(array, s.look[p]) * s.rx[p];
       }
       s.ap_mw[j] =
           phy::band_power(s.components, s.phasors, link.implementation_loss)
@@ -86,8 +98,7 @@ rf::DbmPower interference_at_headset(const core::Scene& victim,
     add_ap_term(i);
     for (std::size_t j = i + 1; j < aggressors.size(); ++j) {
       if (foreign(aggressors[j], victim) &&
-          aggressors[j].scene->ap().node().position() == ap_position &&
-          aggressors[j].scene->ap().node().tx_power() == tx_power) {
+          same_ap_group(aggressors[j].scene->ap().node(), ap)) {
         add_ap_term(j);
       }
     }

@@ -48,10 +48,10 @@ struct InterferenceConfig {
 /// Total interference power arriving at the victim's headset from every
 /// aggressor (foreign APs + their leased reflectors), over the victim
 /// room's ray paths at the victim's current steering. The victim-side work
-/// (path set, headset response per path, band phasors) is done once per
-/// foreign AP and shared by the aggressors on it; the result equals the
-/// per-aggressor sum of phy::received_power and the reflector's
-/// phy::path_power term, bit for bit.
+/// (path set, headset response per path, the AP array's Look per path,
+/// band phasors) is done once per foreign AP and shared by the aggressors
+/// on it; the result equals the per-aggressor sum of phy::received_power
+/// and the reflector's phy::path_power term, bit for bit.
 rf::DbmPower interference_at_headset(const core::Scene& victim,
                                      std::span<const Interferer> aggressors,
                                      const InterferenceConfig& config);

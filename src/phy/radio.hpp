@@ -22,6 +22,11 @@ namespace movr::phy {
 /// front-end arrays.
 std::complex<double> array_response(const rf::PhasedArray& array,
                                     double local_angle);
+/// The same response toward a precomputed Look (PhasedArray::look): equal,
+/// bit for bit, to array_response toward the angle the Look was computed
+/// for, on any array that shares_look() with the one that computed it.
+std::complex<double> array_response(const rf::PhasedArray& array,
+                                    const rf::PhasedArray::Look& look);
 
 class RadioNode {
  public:

@@ -36,17 +36,42 @@ void PhasedArray::steer(double local_angle_rad) {
   }
 }
 
-std::complex<double> PhasedArray::field(double local_angle_rad) const {
+std::complex<double> PhasedArray::array_base(double local_angle_rad) const {
+  const double kd = kTwoPi * config_.spacing_wavelengths;
+  return std::polar(1.0, kd * std::cos(local_angle_rad));
+}
+
+std::complex<double> PhasedArray::horner(std::complex<double> z) const {
   // Element i adds w_i z^i with z = e^{j psi}, psi = k d cos(angle): the
   // sum is a polynomial in z, evaluated by Horner's rule from one sincos.
-  const double kd = kTwoPi * config_.spacing_wavelengths;
-  const std::complex<double> z =
-      std::polar(1.0, kd * std::cos(local_angle_rad));
   std::complex<double> sum = weights_.back();
   for (std::size_t i = weights_.size() - 1; i-- > 0;) {
     sum = sum * z + weights_[i];
   }
   return sum / static_cast<double>(config_.elements);
+}
+
+std::complex<double> PhasedArray::field(double local_angle_rad) const {
+  return horner(array_base(local_angle_rad));
+}
+
+std::complex<double> PhasedArray::field(const Look& look) const {
+  return horner(look.z);
+}
+
+PhasedArray::Look PhasedArray::look(double local_angle_rad) const {
+  return {array_base(local_angle_rad), element_pattern_db(local_angle_rad)};
+}
+
+bool PhasedArray::shares_look(const PhasedArray& other) const {
+  const Config& a = config_;
+  const Config& b = other.config_;
+  return a.elements == b.elements &&
+         a.spacing_wavelengths == b.spacing_wavelengths &&
+         a.element_gain == b.element_gain &&
+         a.element_exponent == b.element_exponent &&
+         a.front_to_back == b.front_to_back &&
+         a.scattering_floor == b.scattering_floor;
 }
 
 double PhasedArray::element_pattern_db(double local_angle_rad) const {
@@ -70,13 +95,23 @@ Decibels PhasedArray::gain(double local_angle_rad) const {
 
 Decibels PhasedArray::gain(double local_angle_rad,
                            std::complex<double> field_at_angle) const {
-  const double af_power = std::norm(field_at_angle);
+  return gain_db(element_pattern_db(local_angle_rad), field_at_angle);
+}
+
+Decibels PhasedArray::gain(const Look& look,
+                           std::complex<double> field_at_look) const {
+  return gain_db(look.element_db, field_at_look);
+}
+
+Decibels PhasedArray::gain_db(double element_db,
+                              std::complex<double> field) const {
+  const double af_power = std::norm(field);
   const double af_db =
       10.0 * std::log10(std::max(af_power, 1e-12));
   const double af_floored = std::max(af_db, config_.scattering_floor.value());
   const double array_db =
       10.0 * std::log10(static_cast<double>(config_.elements));
-  return Decibels{array_db + af_floored + element_pattern_db(local_angle_rad)};
+  return Decibels{array_db + af_floored + element_db};
 }
 
 Decibels PhasedArray::peak_gain() const {

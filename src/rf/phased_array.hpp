@@ -72,6 +72,26 @@ class PhasedArray {
   /// per-element sum (1/N) sum_i e^{j(i psi + phase_i)} to within 1e-12.
   std::complex<double> field(double local_angle_rad) const;
 
+  /// The steering-independent part of the response toward one local
+  /// angle: the array factor's base z = e^{j kd cos(angle)} and the element
+  /// pattern. Arrays for which shares_look() holds compute the same Look
+  /// toward every angle, whatever their steering, so a caller evaluating
+  /// several of them toward one angle computes it once.
+  struct Look {
+    std::complex<double> z;
+    double element_db{0.0};  // element pattern toward the angle, dBi
+  };
+  Look look(double local_angle_rad) const;
+
+  /// True when `other`'s Look toward every angle equals this array's: all
+  /// config fields but phase_bits, which only shapes the steering, match.
+  bool shares_look(const PhasedArray& other) const;
+
+  /// field() and gain(angle, field) toward a precomputed Look, with the
+  /// same result bits as from the angle it was computed for.
+  std::complex<double> field(const Look& look) const;
+  Decibels gain(const Look& look, std::complex<double> field_at_look) const;
+
  private:
   Config config_;
   PhaseShifter shifter_;
@@ -79,7 +99,10 @@ class PhasedArray {
   /// e^{j phase_i} of each element's realised phase, refreshed by steer().
   std::vector<std::complex<double>> weights_;
 
+  std::complex<double> array_base(double local_angle_rad) const;
+  std::complex<double> horner(std::complex<double> z) const;
   double element_pattern_db(double local_angle_rad) const;
+  Decibels gain_db(double element_db, std::complex<double> field) const;
 };
 
 }  // namespace movr::rf

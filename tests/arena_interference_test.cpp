@@ -1,5 +1,6 @@
 // arena::interference_at_headset shares the victim-side work (path set,
-// headset response per path, band phasors) among aggressors on one AP.
+// headset response per path, the AP array's Look per path, band phasors)
+// among aggressors on one AP.
 // These tests pin that sharing to the per-aggressor sum it replaces: every
 // foreign AP's phy::received_power plus every leased reflector's
 // phy::path_power term, added in aggressor order — bit for bit.
@@ -26,10 +27,12 @@ constexpr geom::Vec2 kCorners[4] = {
 /// An 8x8 m room with one reflector per wall midpoint; the AP sits in
 /// corner `ap` and the user's headset at `user`, beams pointed at each
 /// other.
-core::Scene user_scene(int ap, geom::Vec2 user) {
-  core::Scene scene{channel::Room{8.0, 8.0},
-                    core::ApRadio{kCorners[ap], deg_to_rad(45.0 + 90.0 * ap)},
-                    core::HeadsetRadio{user, 0.0}};
+core::Scene user_scene(int ap, geom::Vec2 user,
+                       core::ApRadio::Config ap_config = {}) {
+  core::Scene scene{
+      channel::Room{8.0, 8.0},
+      core::ApRadio{kCorners[ap], deg_to_rad(45.0 + 90.0 * ap), ap_config},
+      core::HeadsetRadio{user, 0.0}};
   scene.add_reflector({4.0, 7.7}, deg_to_rad(265.0));
   scene.add_reflector({7.7, 4.0}, deg_to_rad(175.0));
   scene.add_reflector({0.3, 4.0}, deg_to_rad(355.0));
@@ -168,6 +171,36 @@ TEST(ArenaInterference, EveryVictimAndOrderMatches) {
           << "victim " << v << (pass == 0 ? " forward" : " reversed");
       std::reverse(aggressors.begin(), aggressors.end());
     }
+  }
+}
+
+TEST(ArenaInterference, ApGroupsSplitOnOrientationAndArrayModel) {
+  // Four aggressors share AP 1's position and tx power. One AP is turned
+  // to another orientation and one has 16 elements instead of 10: each
+  // path leaves those two at another Look, so they must not share the
+  // others' per-path terms.
+  core::ApRadio::Config sixteen;
+  sixteen.array.elements = 16;
+  std::vector<core::Scene> scenes;
+  scenes.reserve(5);
+  scenes.push_back(user_scene(0, {2.1, 1.7}));
+  scenes.push_back(user_scene(1, {5.9, 1.4}));
+  scenes.push_back(user_scene(1, {6.3, 2.6}));
+  scenes.push_back(user_scene(1, {5.2, 2.2}, sixteen));
+  scenes.push_back(user_scene(1, {4.8, 1.1}));
+  scenes[2].ap().node().set_orientation(deg_to_rad(160.0));
+  scenes[2].ap().node().steer_toward({6.3, 2.6});
+
+  const InterferenceConfig config;
+  std::vector<Interferer> aggressors;
+  for (std::size_t u = 1; u < scenes.size(); ++u) {
+    aggressors.push_back({&scenes[u], false, 0});
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(interference_at_headset(scenes[0], aggressors, config).value(),
+              per_aggressor_sum(scenes[0], aggressors, config).value())
+        << (pass == 0 ? "forward" : "reversed");
+    std::reverse(aggressors.begin(), aggressors.end());
   }
 }
 
