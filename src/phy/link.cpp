@@ -24,20 +24,34 @@ void band_phasors(std::span<const PathComponent> components,
   // a 2.16 GHz-wide OFDM signal (or a swept measurement tone) experiences
   // the frequency-averaged fade, not a single-tone null. Across the band
   // only the electrical phase of each path moves appreciably.
+  //
+  // Point k sits at carrier + ((k + 0.5) / samples - 0.5) * bandwidth, so
+  // the points are bandwidth / samples apart and a path's phase
+  // -2 pi L f / c advances by the same step from each point to the next:
+  // two sincos per path, then one complex multiply per further point.
   const std::size_t samples = band_samples(config);
   const std::size_t n = components.size();
-  for (std::size_t k = 0; k < samples; ++k) {
-    const double offset =
-        samples == 1
-            ? 0.0
-            : ((static_cast<double>(k) + 0.5) / static_cast<double>(samples) -
-               0.5) *
-                  config.bandwidth_hz;
-    const double lambda = rf::wavelength(config.carrier_hz + offset);
-    for (std::size_t p = 0; p < n; ++p) {
-      const double electrical_phase =
-          -2.0 * std::numbers::pi * components[p].length_m / lambda;
-      out[k * n + p] = std::polar(1.0, electrical_phase);
+  const double samples_d = static_cast<double>(samples);
+  const double first_hz =
+      samples == 1 ? config.carrier_hz
+                   : config.carrier_hz +
+                         (0.5 / samples_d - 0.5) * config.bandwidth_hz;
+  const double first_lambda = rf::wavelength(first_hz);
+  const double step_rad_per_m = -2.0 * std::numbers::pi *
+                                (config.bandwidth_hz / samples_d) /
+                                rf::kSpeedOfLight;
+  for (std::size_t p = 0; p < n; ++p) {
+    const double length = components[p].length_m;
+    std::complex<double> phasor =
+        std::polar(1.0, -2.0 * std::numbers::pi * length / first_lambda);
+    out[p] = phasor;
+    if (samples > 1) {
+      const std::complex<double> step =
+          std::polar(1.0, step_rad_per_m * length);
+      for (std::size_t k = 1; k < samples; ++k) {
+        phasor *= step;
+        out[k * n + p] = phasor;
+      }
     }
   }
 }

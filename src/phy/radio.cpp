@@ -1,32 +1,16 @@
 #include <phy/radio.hpp>
 
-#include <cmath>
-
 namespace movr::phy {
-
-namespace {
-
-std::complex<double> response(rf::Decibels gain, std::complex<double> f) {
-  const double amplitude = std::sqrt(gain.linear());
-  const double mag = std::abs(f);
-  if (mag < 1e-12) {
-    return {amplitude, 0.0};  // deep null: floored gain, arbitrary phase
-  }
-  return amplitude * (f / mag);
-}
-
-}  // namespace
 
 std::complex<double> array_response(const rf::PhasedArray& array,
                                     double local_angle) {
-  const std::complex<double> f = array.field(local_angle);
-  return response(array.gain(local_angle, f), f);
+  return array.response(array.field(local_angle),
+                        array.response_scale(local_angle));
 }
 
 std::complex<double> array_response(const rf::PhasedArray& array,
                                     const rf::PhasedArray::Look& look) {
-  const std::complex<double> f = array.field(look);
-  return response(array.gain(look, f), f);
+  return array.response(array.field(look), look.scale);
 }
 
 std::complex<double> RadioNode::response_toward(double global_azimuth) const {

@@ -20,6 +20,15 @@ PhasedArray::PhasedArray(const Config& config)
   if (config_.spacing_wavelengths <= 0.0) {
     throw std::invalid_argument{"PhasedArray: spacing must be positive"};
   }
+  const double n = static_cast<double>(config_.elements);
+  front_scale_ = std::sqrt(n * config_.element_gain.linear());
+  back_scale_ = std::sqrt(
+      n * (config_.element_gain - config_.front_to_back).linear());
+  pattern_floor_ = std::sqrt(config_.scattering_floor.linear());
+  // gain() floors |field|^2 at 1e-12 before taking its log, then at the
+  // scattering floor.
+  field_floor_power_ = std::max(config_.scattering_floor.linear(), 1e-12);
+  field_floor_ = std::sqrt(field_floor_power_);
   weights_.resize(static_cast<std::size_t>(config_.elements));
   steer(steering_);
 }
@@ -60,7 +69,18 @@ std::complex<double> PhasedArray::field(const Look& look) const {
 }
 
 PhasedArray::Look PhasedArray::look(double local_angle_rad) const {
-  return {array_base(local_angle_rad), element_pattern_db(local_angle_rad)};
+  return {array_base(local_angle_rad), response_scale(local_angle_rad)};
+}
+
+double PhasedArray::response_scale(double local_angle_rad) const {
+  // element_pattern_db() in amplitude: the cos^exponent power pattern is
+  // sin(a)^(exponent / 2) in amplitude, floored the same way.
+  const double s = std::sin(movr::geom::wrap_two_pi(local_angle_rad));
+  if (s <= 0.0) {
+    return back_scale_;
+  }
+  return front_scale_ *
+         std::max(std::pow(s, 0.5 * config_.element_exponent), pattern_floor_);
 }
 
 bool PhasedArray::shares_look(const PhasedArray& other) const {
@@ -72,6 +92,19 @@ bool PhasedArray::shares_look(const PhasedArray& other) const {
          a.element_exponent == b.element_exponent &&
          a.front_to_back == b.front_to_back &&
          a.scattering_floor == b.scattering_floor;
+}
+
+std::complex<double> PhasedArray::response(std::complex<double> field_at_angle,
+                                           double scale) const {
+  const double power = std::norm(field_at_angle);
+  if (power >= field_floor_power_) {
+    return scale * field_at_angle;
+  }
+  const double floored = scale * field_floor_;
+  if (power < 1e-24) {
+    return {floored, 0.0};  // deep null: floored gain, arbitrary phase
+  }
+  return (floored / std::sqrt(power)) * field_at_angle;
 }
 
 double PhasedArray::element_pattern_db(double local_angle_rad) const {
@@ -95,23 +128,13 @@ Decibels PhasedArray::gain(double local_angle_rad) const {
 
 Decibels PhasedArray::gain(double local_angle_rad,
                            std::complex<double> field_at_angle) const {
-  return gain_db(element_pattern_db(local_angle_rad), field_at_angle);
-}
-
-Decibels PhasedArray::gain(const Look& look,
-                           std::complex<double> field_at_look) const {
-  return gain_db(look.element_db, field_at_look);
-}
-
-Decibels PhasedArray::gain_db(double element_db,
-                              std::complex<double> field) const {
-  const double af_power = std::norm(field);
+  const double af_power = std::norm(field_at_angle);
   const double af_db =
       10.0 * std::log10(std::max(af_power, 1e-12));
   const double af_floored = std::max(af_db, config_.scattering_floor.value());
   const double array_db =
       10.0 * std::log10(static_cast<double>(config_.elements));
-  return Decibels{array_db + af_floored + element_db};
+  return Decibels{array_db + af_floored + element_pattern_db(local_angle_rad)};
 }
 
 Decibels PhasedArray::peak_gain() const {

@@ -73,24 +73,35 @@ class PhasedArray {
   std::complex<double> field(double local_angle_rad) const;
 
   /// The steering-independent part of the response toward one local
-  /// angle: the array factor's base z = e^{j kd cos(angle)} and the element
-  /// pattern. Arrays for which shares_look() holds compute the same Look
-  /// toward every angle, whatever their steering, so a caller evaluating
-  /// several of them toward one angle computes it once.
+  /// angle: the array factor's base z = e^{j kd cos(angle)} and the scale
+  /// sqrt(N x element pattern gain) that turns the normalised field into
+  /// the response's amplitude. Arrays for which shares_look() holds compute
+  /// the same Look toward every angle, whatever their steering, so a caller
+  /// evaluating several of them toward one angle computes it once.
   struct Look {
     std::complex<double> z;
-    double element_db{0.0};  // element pattern toward the angle, dBi
+    double scale{0.0};
   };
   Look look(double local_angle_rad) const;
+  /// Look::scale toward the angle, for callers that evaluate field(angle).
+  double response_scale(double local_angle_rad) const;
 
   /// True when `other`'s Look toward every angle equals this array's: all
   /// config fields but phase_bits, which only shapes the steering, match.
   bool shares_look(const PhasedArray& other) const;
 
-  /// field() and gain(angle, field) toward a precomputed Look, with the
-  /// same result bits as from the angle it was computed for.
+  /// field() toward a precomputed Look, with the same result bits as from
+  /// the angle it was computed for.
   std::complex<double> field(const Look& look) const;
-  Decibels gain(const Look& look, std::complex<double> field_at_look) const;
+
+  /// Complex far-field response from field() and response_scale() toward
+  /// one angle: amplitude sqrt(linear gain()), phase of the field. Computed
+  /// in the amplitude domain — scale x field while |field|^2 is at or above
+  /// the scattering floor's power, the field's phase at the floored
+  /// magnitude below it — and within 1e-12 relative of
+  /// sqrt(gain(angle, field).linear()) x field / |field|.
+  std::complex<double> response(std::complex<double> field_at_angle,
+                                double scale) const;
 
  private:
   Config config_;
@@ -98,11 +109,19 @@ class PhasedArray {
   double steering_{1.5707963267948966};  // boresight
   /// e^{j phase_i} of each element's realised phase, refreshed by steer().
   std::vector<std::complex<double>> weights_;
+  /// Amplitude-domain constants of the config, for response_scale() and
+  /// response(): sqrt(N x element gain) in front of and behind the ground
+  /// plane, the element pattern's floor, and the array factor's floor as
+  /// power and amplitude.
+  double front_scale_;
+  double back_scale_;
+  double pattern_floor_;
+  double field_floor_power_;
+  double field_floor_;
 
   std::complex<double> array_base(double local_angle_rad) const;
   std::complex<double> horner(std::complex<double> z) const;
   double element_pattern_db(double local_angle_rad) const;
-  Decibels gain_db(double element_db, std::complex<double> field) const;
 };
 
 }  // namespace movr::rf
