@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <numbers>
+#include <vector>
+
 #include <phy/link.hpp>
 #include <phy/sls.hpp>
 #include <rf/band.hpp>
@@ -63,6 +67,41 @@ TEST(Wideband, ExtraLossSubtracts) {
 TEST(Wideband, EmptyPathsIsNoSignal) {
   const LinkConfig config;
   EXPECT_LT(wideband_power({}, config, rf::Decibels{0.0}).value(), -250.0);
+}
+
+TEST(Wideband, BandPhasorsMatchPerPointPolar) {
+  // band_phasors steps each path's phasor across the evenly spaced points;
+  // the reference evaluates every point's phase directly.
+  std::vector<PathComponent> paths;
+  for (double length = 0.0; length <= 120.0; length += 0.731) {
+    paths.push_back({std::complex<double>{}, length});
+  }
+  paths.push_back({std::complex<double>{}, 120.0});
+  for (const int samples : {1, 2, 8, 64}) {
+    for (const double carrier : {24.0e9, 60.48e9}) {
+      LinkConfig config;
+      config.carrier_hz = carrier;
+      config.frequency_samples = samples;
+      std::vector<std::complex<double>> phasors(band_samples(config) *
+                                                paths.size());
+      band_phasors(paths, config, phasors);
+      for (std::size_t k = 0; k < band_samples(config); ++k) {
+        const double offset =
+            samples == 1 ? 0.0
+                         : ((static_cast<double>(k) + 0.5) / samples - 0.5) *
+                               config.bandwidth_hz;
+        const double lambda = rf::wavelength(config.carrier_hz + offset);
+        for (std::size_t p = 0; p < paths.size(); ++p) {
+          const std::complex<double> reference = std::polar(
+              1.0, -2.0 * std::numbers::pi * paths[p].length_m / lambda);
+          EXPECT_LE(std::abs(phasors[k * paths.size() + p] - reference),
+                    1e-10)
+              << samples << " samples at " << carrier << " Hz, point " << k
+              << ", path of " << paths[p].length_m << " m";
+        }
+      }
+    }
+  }
 }
 
 TEST(Band, Presets) {
