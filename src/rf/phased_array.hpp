@@ -113,11 +113,11 @@ class PhasedArray {
   /// response(): sqrt(N x element gain) in front of and behind the ground
   /// plane, the element pattern's floor, and the array factor's floor as
   /// power and amplitude.
-  double front_scale_;
-  double back_scale_;
-  double pattern_floor_;
-  double field_floor_power_;
-  double field_floor_;
+  double front_scale_{0.0};
+  double back_scale_{0.0};
+  double pattern_floor_{0.0};
+  double field_floor_power_{0.0};
+  double field_floor_{0.0};
 
   std::complex<double> array_base(double local_angle_rad) const;
   std::complex<double> horner(std::complex<double> z) const;
