@@ -567,7 +567,7 @@ int batch_speedup_summary(const std::string& json_path) {
   const double response_ns =
       sweep_ns([&](double a) { return phy::array_response(array, a); });
   constexpr std::size_t kUsers[] = {4, 8, 16, 32};
-  double penalty_ns[std::size(kUsers)];
+  double penalty_ns[std::size(kUsers)] = {};
   for (std::size_t i = 0; i < std::size(kUsers); ++i) {
     const ArenaFrame frame{kUsers[i]};
     penalty_ns[i] =
@@ -576,7 +576,8 @@ int batch_speedup_summary(const std::string& json_path) {
   // The cost of one more aggressor on a foreign AP: users 16-31 all ride
   // their APs directly. (Users 4-7 ride reflectors, so the 4 -> 8 step is
   // not AP-only.)
-  const double per_ap_aggressor_ns = (penalty_ns[3] - penalty_ns[2]) / 16.0;
+  const double per_ap_aggressor_ns = (penalty_ns[3] - penalty_ns[2]) /
+                                     static_cast<double>(kUsers[3] - kUsers[2]);
 
   const double n_d = static_cast<double>(n);
   const double solver_speedup = solver_scalar_ns / solver_batch_ns;
