@@ -96,8 +96,7 @@ TEST(RadioNode, ArrayResponseMatchesDbDomainReference) {
   // Both endfires and just inside them (element pattern at its floor), the
   // back lobe, angles outside [0, 2 pi), and a sweep through the sidelobe
   // nulls (array factor below its floor).
-  std::vector<double> angles{0.0,        1e-4, kPi - 1e-4, kPi,
-                             1.5 * kPi, -0.4, 7.0};
+  std::vector<double> angles{0.0, 1e-4, kPi - 1e-4, kPi, 1.5 * kPi, -0.4, 7.0};
   for (double a = 0.0031; a < 2.0 * kPi; a += 0.0173) {
     angles.push_back(a);
   }
