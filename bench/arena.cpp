@@ -27,15 +27,10 @@
 //   - the contention machinery actually engaged at 16+ users (denials and
 //     revocations nonzero under arbitration — otherwise the comparison
 //     is vacuous)
-//
-// Usage: arena [--users LIST] [--seeds N] [--seed S] [--duration SECONDS]
-//              [--threads N] [--json PATH] [--event-log DIR]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,6 +38,7 @@
 #include <core/parallel_for.hpp>
 
 #include "arena_world.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -222,82 +218,40 @@ void dump_users(std::size_t users, Arm arm, std::uint64_t seed,
   }
 }
 
-void print_usage() {
-  std::printf(
-      "arena — multi-user shared-spectrum coordination: reflector lease\n"
-      "arbitration vs FCFS across 2..32 users in one room\n\n"
-      "  arena [--users LIST] [--seeds N] [--seed S] [--duration SECONDS]\n"
-      "        [--threads N] [--json PATH]\n\n"
-      "  --users LIST         comma-separated user counts (default\n"
-      "                       2,4,8,16,32)\n"
-      "  --seeds N            run seeds 1..N (default 3)\n"
-      "  --seed S             run exactly one seed (replay mode)\n"
-      "  --duration SECONDS   sim time per configuration (default 10)\n"
-      "  --threads N          worker threads (default: hardware)\n"
-      "  --json PATH          write a machine-readable summary to PATH\n"
-      "  --event-log DIR      single-cell mode: one arbitration run (first\n"
-      "                       --users count, --seed or 1) writing per-user\n"
-      "                       + coordinator event logs into DIR, then exit\n\n"
-      "Exits nonzero when a 1-user arena is not bit-identical to the\n"
-      "standalone session, when any user's per-20 ms packet-ledger audit\n"
-      "fails, when (at 16 users) arbitration does not beat FCFS on the\n"
-      "p95 per-user glitched fraction, or when the contention machinery\n"
-      "never engaged at 16+ users.\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::SweepFlags sweep{3, 10.0};
   std::vector<std::size_t> user_counts = {2, 4, 8, 16, 32};
-  int seeds = 3;
-  std::uint64_t single_seed = 0;
-  bool have_single_seed = false;
-  double duration_s = 10.0;
   unsigned threads = 0;
-  std::string json_path;
   std::string event_log_dir;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      if (!bench::parse_users(argv[++i], user_counts)) {
-        std::fprintf(stderr, "bad --users list\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      single_seed = std::strtoull(argv[++i], nullptr, 10);
-      have_single_seed = true;
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--dump-users") == 0) {
-      // Diagnostic: per-user breakdown of one 16-user cell per arm at the
-      // given --seed (default 1), then exit.
-      const std::uint64_t s = have_single_seed ? single_seed : 1;
-      dump_users(16, Arm::kArbitration, s, duration_s);
-      dump_users(16, Arm::kFcfs, s, duration_s);
-      return 0;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--event-log") == 0 && i + 1 < argc) {
-      event_log_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      print_usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      print_usage();
-      return 2;
-    }
+  bool dump = false;
+  bench::Cli cli{
+      "arena — multi-user shared-spectrum coordination: reflector lease\n"
+      "arbitration vs FCFS across 2..32 users in one room"};
+  sweep.bind(cli)
+      .flag("--users", user_counts, "comma-separated user counts")
+      .flag("--threads", threads, "worker threads, 0 = one per hardware thread")
+      .flag("--event-log", event_log_dir,
+            "write one arbitration cell's event logs to DIR, then exit", "DIR")
+      .flag("--dump-users", dump,
+            "print the 16-user cell per user, both arms, then exit");
+  if (const auto status = cli.parse(argc, argv)) {
+    return *status;
   }
+  const std::vector<std::uint64_t> seed_list = sweep.seed_list();
+  const double duration_s = sweep.duration_s;
 
-  const std::vector<std::uint64_t> seed_list =
-      bench::seed_list(have_single_seed, single_seed, seeds);
-
+  if (dump) {
+    // Diagnostic: per-user breakdown of the 16-user cell at --seed
+    // (default 1), one table per arm.
+    const std::uint64_t s = sweep.seed.value_or(1);
+    dump_users(16, Arm::kArbitration, s, duration_s);
+    dump_users(16, Arm::kFcfs, s, duration_s);
+    return 0;
+  }
   if (!event_log_dir.empty()) {
-    const std::size_t users = user_counts.empty() ? 2 : user_counts.front();
-    return run_event_log(users, seed_list.front(), duration_s,
+    return run_event_log(user_counts.front(), seed_list.front(), duration_s,
                          event_log_dir);
   }
 
@@ -336,12 +290,9 @@ int main(int argc, char** argv) {
                          }
                        }
                      });
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double wall_s = bench::seconds_since(wall_start);
 
-  int failures = 0;
+  bench::Gates gates;
 
   // Pool per-user glitch fractions per (users, arm) across seeds.
   struct CellAggregate {
@@ -409,39 +360,32 @@ int main(int argc, char** argv) {
     for (int a = 0; a < kArms; ++a) {
       const CellAggregate& cell =
           cells[u * kArms + static_cast<std::size_t>(a)];
-      if (cell.sums.ledger_violations > 0 || cell.sums.ledger_checks == 0) {
-        std::printf("FAIL: ledger audit at %zu users (%s): %llu of %llu "
-                    "checks open\n",
-                    user_counts[u], kArmNames[a],
-                    static_cast<unsigned long long>(
-                        cell.sums.ledger_violations),
-                    static_cast<unsigned long long>(cell.sums.ledger_checks));
-        ++failures;
-      }
+      gates.expect(
+          cell.sums.ledger_violations == 0 && cell.sums.ledger_checks > 0,
+          "ledger audit at %zu users (%s): %llu of %llu checks open",
+          user_counts[u], kArmNames[a],
+          static_cast<unsigned long long>(cell.sums.ledger_violations),
+          static_cast<unsigned long long>(cell.sums.ledger_checks));
     }
   }
 
   // Gate 2: 1-user bit-identity against the standalone session.
   for (std::size_t s = 0; s < seed_list.size(); ++s) {
     const IdentityResult& id = identity_results[s];
-    if (id.arena_fp != id.solo_fp) {
-      std::printf("FAIL: 1-user arena fingerprint %s != standalone "
-                  "%s (seed %llu)\n",
-                  bench::fingerprint_hex(id.arena_fp).c_str(),
-                  bench::fingerprint_hex(id.solo_fp).c_str(),
-                  static_cast<unsigned long long>(seed_list[s]));
+    const auto seed = static_cast<unsigned long long>(seed_list[s]);
+    if (!gates.expect(id.arena_fp == id.solo_fp,
+                      "1-user arena fingerprint %s != standalone %s "
+                      "(seed %llu)",
+                      bench::fingerprint_hex(id.arena_fp).c_str(),
+                      bench::fingerprint_hex(id.solo_fp).c_str(), seed)) {
       bench::print_replay("arena", seed_list[s], duration_s, " --users 2");
-      ++failures;
     }
-    if (id.ledger_violations > 0) {
-      std::printf("FAIL: 1-user arena ledger violations (seed %llu)\n",
-                  static_cast<unsigned long long>(seed_list[s]));
-      ++failures;
-    }
+    gates.expect(id.ledger_violations == 0,
+                 "1-user arena ledger violations (seed %llu)", seed);
   }
   std::printf("\n1-user bit-identity: %zu seed(s) checked, fingerprints "
               "%s\n",
-              seed_list.size(), failures == 0 ? "equal" : "see FAILs above");
+              seed_list.size(), gates.ok() ? "equal" : "see FAILs above");
 
   // Gates 3+4 bind at the contention point (16 users, or the largest swept
   // count >= 16); smaller-only sweeps are smoke runs for the machinery.
@@ -469,74 +413,55 @@ int main(int argc, char** argv) {
     std::printf("gate @ %zu users: p95 glitch fraction arbitration %.3f%% "
                 "vs fcfs %.3f%%\n",
                 user_counts[gate_idx], 100.0 * p95_arb, 100.0 * p95_fcfs);
-    if (!(p95_arb < p95_fcfs)) {
-      std::printf("FAIL: arbitration p95 glitch fraction %.4f does not beat "
-                  "fcfs %.4f at %zu users\n",
-                  p95_arb, p95_fcfs, user_counts[gate_idx]);
-      ++failures;
-    }
-    if (arb.sums.denials == 0 || arb.sums.revocations == 0) {
-      std::printf("FAIL: contention never engaged at %zu users (denials "
-                  "%llu, revocations %llu)\n",
-                  user_counts[gate_idx],
-                  static_cast<unsigned long long>(arb.sums.denials),
-                  static_cast<unsigned long long>(arb.sums.revocations));
-      ++failures;
-    }
+    gates.expect(p95_arb < p95_fcfs,
+                 "arbitration p95 glitch fraction %.4f does not beat fcfs "
+                 "%.4f at %zu users",
+                 p95_arb, p95_fcfs, user_counts[gate_idx]);
+    gates.expect(arb.sums.denials > 0 && arb.sums.revocations > 0,
+                 "contention never engaged at %zu users (denials %llu, "
+                 "revocations %llu)",
+                 user_counts[gate_idx],
+                 static_cast<unsigned long long>(arb.sums.denials),
+                 static_cast<unsigned long long>(arb.sums.revocations));
   }
 
-  if (!json_path.empty()) {
-    bench::Json sweep = bench::Json::array();
-    for (std::size_t u = 0; u < user_counts.size(); ++u) {
-      for (int a = 0; a < kArms; ++a) {
-        const CellAggregate& cell =
+  bench::Json rows = bench::Json::array();
+  for (std::size_t u = 0; u < user_counts.size(); ++u) {
+    for (int a = 0; a < kArms; ++a) {
+      const CellAggregate& cell =
           cells[u * kArms + static_cast<std::size_t>(a)];
-        bench::Json row = bench::Json::object();
-        row.set("users", static_cast<std::uint64_t>(user_counts[u]))
-            .set("arm", kArmNames[a])
-            .set("p95_glitch_fraction",
-                 bench::percentile(cell.glitch_fractions, 0.95))
-            .set("frames", cell.sums.frames)
-            .set("glitched_frames", cell.sums.glitched)
-            .set("reflector_denials", cell.sums.denials)
-            .set("lease_grants", cell.sums.grants)
-            .set("lease_revocations", cell.sums.revocations)
-            .set("admission_degrades", cell.sums.degrades)
-            .set("admission_evictions", cell.sums.evictions)
-            .set("admission_readmissions", cell.sums.readmissions)
-            .set("interfered_frames", cell.sums.interfered_frames)
-            .set("max_interference_db", cell.sums.max_interference_db)
-            .set("min_airtime_share", cell.sums.min_airtime_share)
-            .set("ledger_checks", cell.sums.ledger_checks)
-            .set("ledger_violations", cell.sums.ledger_violations);
-        sweep.push(std::move(row));
-      }
-    }
-    bench::Json doc = bench::Json::object();
-    doc.set("bench", "arena")
-        .set("wall_time_s", wall_s)
-        .set("duration_s", duration_s)
-        .set("seeds", static_cast<std::uint64_t>(seed_list.size()))
-        .set("replay", have_single_seed)
-        .set("identity_ok",
-             std::all_of(identity_results.begin(), identity_results.end(),
-                         [](const IdentityResult& id) {
-                           return id.arena_fp == id.solo_fp;
-                         }))
-        .set("pass", failures == 0)
-        .set("sweep", std::move(sweep));
-    if (!bench::emit_json(json_path, doc)) {
-      ++failures;
+      bench::Json row = bench::Json::object();
+      row.set("users", static_cast<std::uint64_t>(user_counts[u]))
+          .set("arm", kArmNames[a])
+          .set("p95_glitch_fraction",
+               bench::percentile(cell.glitch_fractions, 0.95))
+          .set("frames", cell.sums.frames)
+          .set("glitched_frames", cell.sums.glitched)
+          .set("reflector_denials", cell.sums.denials)
+          .set("lease_grants", cell.sums.grants)
+          .set("lease_revocations", cell.sums.revocations)
+          .set("admission_degrades", cell.sums.degrades)
+          .set("admission_evictions", cell.sums.evictions)
+          .set("admission_readmissions", cell.sums.readmissions)
+          .set("interfered_frames", cell.sums.interfered_frames)
+          .set("max_interference_db", cell.sums.max_interference_db)
+          .set("min_airtime_share", cell.sums.min_airtime_share)
+          .set("ledger_checks", cell.sums.ledger_checks)
+          .set("ledger_violations", cell.sums.ledger_violations);
+      rows.push(std::move(row));
     }
   }
-
-  if (failures == 0) {
-    std::printf("\nOK: %zu user counts x %d arms x %zu seeds, ledgers "
-                "closed, 1-user runs bit-identical, arbitration beats FCFS "
-                "at the contention point (%.1f s wall)\n",
-                user_counts.size(), kArms, seed_list.size(), wall_s);
-    return 0;
-  }
-  std::printf("\nFAIL: %d gate(s) failed\n", failures);
-  return 1;
+  const bool identity_ok =
+      std::all_of(identity_results.begin(), identity_results.end(),
+                  [](const IdentityResult& id) {
+                    return id.arena_fp == id.solo_fp;
+                  });
+  gates.write(sweep.json,
+              sweep.summary("arena", wall_s).set("identity_ok", identity_ok),
+              "sweep", std::move(rows));
+  return gates.finish(
+      "%zu user counts x %d arms x %zu seeds, ledgers closed, 1-user runs "
+      "bit-identical, arbitration beats FCFS at the contention point "
+      "(%.1f s wall)",
+      user_counts.size(), kArms, seed_list.size(), wall_s);
 }

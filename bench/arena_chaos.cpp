@@ -33,16 +33,10 @@
 // with failover OFF, expects the coordinator log to FAIL offline
 // verification at a lease-liveness record, and exits nonzero if the
 // verifier does NOT catch it.
-//
-// Usage: arena_chaos [--users LIST] [--seeds N] [--seed S]
-//                    [--duration SECONDS] [--threads N] [--json PATH]
-//                    [--event-log DIR] [--disable-failover]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -52,6 +46,7 @@
 #include <log/verify.hpp>
 
 #include "arena_world.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -187,7 +182,7 @@ log::VerifyReport verify_stream(const log::Recorder& stream,
   log::VerifyReport report =
       log::verify_log(log::parse_log(stream.buffer()), "");
   if (!report.ok()) {
-    std::string message = "FAIL: " + name + " does not verify offline:";
+    std::string message = name + " does not verify offline:";
     for (const log::Issue& issue : report.chain_issues.empty()
                                        ? report.invariant_issues
                                        : report.chain_issues) {
@@ -336,7 +331,7 @@ RunOutcome run_arena(std::size_t users, const Scenario& scenario,
   if (!out.coordinator_log.has_params ||
       out.coordinator_log.lease_snapshots < want) {
     out.log_failures.push_back(
-        "FAIL: coordinator" + run_name + " is too thin to prove lease " +
+        "coordinator" + run_name + " is too thin to prove lease " +
         "liveness (params " +
         (out.coordinator_log.has_params ? "present" : "missing") + ", " +
         std::to_string(out.coordinator_log.lease_snapshots) + " of " +
@@ -509,84 +504,36 @@ int run_tripwire(std::size_t users, std::uint64_t seed, double duration_s,
   return 0;
 }
 
-void print_usage() {
-  std::printf(
-      "arena_chaos — correlated shared-resource faults against the\n"
-      "multi-user arena: lease failover, fault-aware admission, and a\n"
-      "blast-radius isolation gate checked every 20 ms\n\n"
-      "  arena_chaos [--users LIST] [--seeds N] [--seed S]\n"
-      "              [--duration SECONDS] [--threads N] [--json PATH]\n"
-      "              [--event-log DIR] [--disable-failover]\n\n"
-      "  --users LIST         comma-separated user counts (default 4,8)\n"
-      "  --seeds N            run seeds 1..N (default 2)\n"
-      "  --seed S             run exactly one seed (replay mode)\n"
-      "  --duration SECONDS   sim time per run (default 6)\n"
-      "  --threads N          worker threads (default: hardware)\n"
-      "  --json PATH          machine-readable summary (BENCH_arena_chaos)\n"
-      "  --event-log DIR      write coordinator + per-user event logs for\n"
-      "                       one cell per scenario and verify them\n"
-      "  --disable-failover   tripwire: run with lease failover OFF and\n"
-      "                       exit 0 only if offline verification FAILS at\n"
-      "                       the first lease-liveness record\n\n"
-      "Exits nonzero when any ledger audit opens, a run's recorded event\n"
-      "log fails offline verification (a lease outliving its device's\n"
-      "quarantine grace is invariant F) or is too thin to prove lease\n"
-      "liveness, a user sharing no faulted resource leaves its fault-free\n"
-      "glitch trajectory by more than the isolation epsilon, or the chaos\n"
-      "machinery never engaged.\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::SweepFlags sweep{2, 6.0};
   std::vector<std::size_t> user_counts = {4, 8};
-  int seeds = 2;
-  std::uint64_t single_seed = 0;
-  bool have_single_seed = false;
-  double duration_s = 6.0;
   unsigned threads = 0;
-  std::string json_path;
   std::string event_log_dir;
   bool disable_failover = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      if (!bench::parse_users(argv[++i], user_counts)) {
-        std::fprintf(stderr, "bad --users list\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      single_seed = std::strtoull(argv[++i], nullptr, 10);
-      have_single_seed = true;
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--event-log") == 0 && i + 1 < argc) {
-      event_log_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--disable-failover") == 0) {
-      disable_failover = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      print_usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      print_usage();
-      return 2;
-    }
+  bench::Cli cli{
+      "arena_chaos — correlated shared-resource faults against the\n"
+      "multi-user arena: lease failover, fault-aware admission, and a\n"
+      "blast-radius isolation gate checked every 20 ms"};
+  sweep.bind(cli)
+      .flag("--users", user_counts, "comma-separated user counts")
+      .flag("--threads", threads, "worker threads, 0 = one per hardware thread")
+      .flag("--event-log", event_log_dir,
+            "write and verify each scenario's event logs in DIR", "DIR")
+      .flag("--disable-failover", disable_failover,
+            "tripwire: exit 0 only if offline verification catches it");
+  if (const auto status = cli.parse(argc, argv)) {
+    return *status;
   }
+  const double duration_s = sweep.duration_s;
 
   if (disable_failover) {
-    const std::size_t users = user_counts.empty() ? 8 : user_counts.back();
-    return run_tripwire(users, have_single_seed ? single_seed : 1,
+    return run_tripwire(user_counts.back(), sweep.seed.value_or(1),
                         duration_s, event_log_dir);
   }
 
-  const std::vector<std::uint64_t> seed_list =
-      bench::seed_list(have_single_seed, single_seed, seeds);
+  const std::vector<std::uint64_t> seed_list = sweep.seed_list();
   const std::vector<Scenario> grid = scenarios();
 
   struct SweepJob {
@@ -613,12 +560,9 @@ int main(int argc, char** argv) {
                                                jobs[j].seed, duration_s);
                        }
                      });
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double wall_s = bench::seconds_since(wall_start);
 
-  int failures = 0;
+  bench::Gates gates;
 
   bench::print_header(
       "Arena chaos — correlated shared-resource faults, failover + "
@@ -659,20 +603,17 @@ int main(int argc, char** argv) {
   // quarantined reflector keeps its holder past the revocation grace) and
   // are thick enough to prove it.
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const int before = failures;
+    const int before = gates.failures();
     for (const RunOutcome* run : {&results[j].faulted, &results[j].reference}) {
-      if (run->ledger_violations > 0 || run->ledger_checks == 0) {
-        std::printf("FAIL: ledger audit open (%zu users, %s, seed %llu)\n",
-                    jobs[j].users, grid[jobs[j].scenario].name,
-                    static_cast<unsigned long long>(jobs[j].seed));
-        ++failures;
-      }
+      gates.expect(run->ledger_violations == 0 && run->ledger_checks > 0,
+                   "ledger audit open (%zu users, %s, seed %llu)",
+                   jobs[j].users, grid[jobs[j].scenario].name,
+                   static_cast<unsigned long long>(jobs[j].seed));
       for (const std::string& failure : run->log_failures) {
-        std::printf("%s\n", failure.c_str());
-        ++failures;
+        gates.expect(false, "%s", failure.c_str());
       }
     }
-    if (failures > before) {
+    if (gates.failures() > before) {
       bench::print_replay("arena_chaos", jobs[j].seed, duration_s, "");
     }
   }
@@ -684,44 +625,36 @@ int main(int argc, char** argv) {
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     isolated_user_cells += jobs[j].users - results[j].blast_users;
   }
-  if (isolated_user_cells == 0) {
-    std::printf(
-        "FAIL: isolation gate vacuous: every user in every cell was "
-        "classified blast\n");
-    ++failures;
-  }
+  gates.expect(isolated_user_cells > 0,
+               "isolation gate vacuous: every user in every cell was "
+               "classified blast");
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (results[j].isolation_violations > 0) {
-      std::printf(
-          "FAIL: isolation: %llu checkpoint(s) outside epsilon (%zu users, "
-          "%s, seed %llu): %s\n",
-          static_cast<unsigned long long>(results[j].isolation_violations),
-          jobs[j].users, grid[jobs[j].scenario].name,
-          static_cast<unsigned long long>(jobs[j].seed),
-          results[j].first_violation.c_str());
+    if (!gates.expect(
+            results[j].isolation_violations == 0,
+            "isolation: %llu checkpoint(s) outside epsilon (%zu users, %s, "
+            "seed %llu): %s",
+            static_cast<unsigned long long>(results[j].isolation_violations),
+            jobs[j].users, grid[jobs[j].scenario].name,
+            static_cast<unsigned long long>(jobs[j].seed),
+            results[j].first_violation.c_str())) {
       bench::print_replay("arena_chaos", jobs[j].seed, duration_s, "");
-      ++failures;
     }
   }
 
   // Gate 4: the machinery engaged (otherwise every other gate is vacuous)
   // and nothing leaked: zero orphaned leases across the sweep.
-  if (totals.faults_applied == 0 || totals.device_quarantines == 0 ||
-      totals.failover_revocations == 0 || totals.device_restores == 0) {
-    std::printf("FAIL: chaos machinery never engaged (faults %llu, "
-                "quarantines %llu, failovers %llu, restores %llu)\n",
-                static_cast<unsigned long long>(totals.faults_applied),
-                static_cast<unsigned long long>(totals.device_quarantines),
-                static_cast<unsigned long long>(totals.failover_revocations),
-                static_cast<unsigned long long>(totals.device_restores));
-    ++failures;
-  }
-  if (totals.orphan_leases_reaped > 0) {
-    std::printf("FAIL: %llu orphaned lease(s) reaped — arbiter and managers "
-                "desynced\n",
-                static_cast<unsigned long long>(totals.orphan_leases_reaped));
-    ++failures;
-  }
+  gates.expect(totals.faults_applied > 0 && totals.device_quarantines > 0 &&
+                   totals.failover_revocations > 0 &&
+                   totals.device_restores > 0,
+               "chaos machinery never engaged (faults %llu, quarantines "
+               "%llu, failovers %llu, restores %llu)",
+               static_cast<unsigned long long>(totals.faults_applied),
+               static_cast<unsigned long long>(totals.device_quarantines),
+               static_cast<unsigned long long>(totals.failover_revocations),
+               static_cast<unsigned long long>(totals.device_restores));
+  gates.expect(totals.orphan_leases_reaped == 0,
+               "%llu orphaned lease(s) reaped — arbiter and managers desynced",
+               static_cast<unsigned long long>(totals.orphan_leases_reaped));
 
   // Event-log pass: one cell per scenario (largest user count, first
   // seed) with every stream written to disk and verified in-process.
@@ -740,8 +673,7 @@ int main(int argc, char** argv) {
           run_arena(users, scenario, /*faulted=*/true, /*failover=*/true,
                     seed, duration_s, event_log_dir, stem);
       for (const std::string& failure : run.log_failures) {
-        std::printf("%s\n", failure.c_str());
-        ++failures;
+        gates.expect(false, "%s", failure.c_str());
       }
       logs_verified += run.logs_verified;
     }
@@ -750,77 +682,55 @@ int main(int argc, char** argv) {
                 event_log_dir.c_str());
   }
 
-  if (!json_path.empty()) {
-    bench::Json sweep = bench::Json::array();
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const CellResult& cell = results[j];
-      bench::Json row = bench::Json::object();
-      row.set("users", static_cast<std::uint64_t>(jobs[j].users))
-          .set("scenario", grid[jobs[j].scenario].name)
-          .set("seed", jobs[j].seed)
-          .set("faults_applied", cell.faulted.chaos.faults_applied)
-          .set("device_quarantines", cell.faulted.chaos.device_quarantines)
-          .set("device_restores", cell.faulted.chaos.device_restores)
-          .set("failover_revocations",
-               cell.faulted.chaos.failover_revocations)
-          .set("orphan_leases_reaped",
-               cell.faulted.chaos.orphan_leases_reaped)
-          .set("fault_degraded_samples",
-               cell.faulted.chaos.fault_degraded_samples)
-          .set("fast_tracks", cell.faulted.fast_tracks)
-          .set("quarantine_denials", cell.faulted.quarantine_denials)
-          .set("stale_reservations", cell.faulted.stale_reservations)
-          .set("blast_users", static_cast<std::uint64_t>(cell.blast_users))
-          .set("max_isolation_excess", cell.max_excess)
-          .set("isolation_violations", cell.isolation_violations)
-          .set("lease_liveness_violations",
-               static_cast<std::uint64_t>(
-                   cell.faulted.coordinator_log.invariant_issues.size()))
-          .set("ledger_checks", cell.faulted.ledger_checks)
-          .set("ledger_violations", cell.faulted.ledger_violations)
-          .set("fingerprint", bench::fingerprint_hex(cell.faulted.fingerprint))
-          .set("reference_fingerprint",
-               bench::fingerprint_hex(cell.reference.fingerprint));
-      sweep.push(std::move(row));
-    }
-    bench::Json doc = bench::Json::object();
-    doc.set("bench", "arena_chaos")
-        .set("wall_time_s", wall_s)
-        .set("duration_s", duration_s)
-        .set("seeds", static_cast<std::uint64_t>(seed_list.size()))
-        .set("replay", have_single_seed)
-        .set("isolation_abs", kIsolationAbs)
-        .set("isolation_frac", kIsolationFrac)
-        .set("total_failover_revocations", totals.failover_revocations)
-        .set("total_fast_tracks", total_fast_tracks)
-        .set("total_quarantine_denials", total_quarantine_denials)
-        .set("logs_verified", logs_verified)
-        .set("pass", failures == 0)
-        .set("sweep", std::move(sweep));
-    if (!bench::emit_json(json_path, doc)) {
-      ++failures;
-    }
+  bench::Json rows = bench::Json::array();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const CellResult& cell = results[j];
+    bench::Json row = bench::Json::object();
+    row.set("users", static_cast<std::uint64_t>(jobs[j].users))
+        .set("scenario", grid[jobs[j].scenario].name)
+        .set("seed", jobs[j].seed)
+        .set("faults_applied", cell.faulted.chaos.faults_applied)
+        .set("device_quarantines", cell.faulted.chaos.device_quarantines)
+        .set("device_restores", cell.faulted.chaos.device_restores)
+        .set("failover_revocations", cell.faulted.chaos.failover_revocations)
+        .set("orphan_leases_reaped", cell.faulted.chaos.orphan_leases_reaped)
+        .set("fault_degraded_samples",
+             cell.faulted.chaos.fault_degraded_samples)
+        .set("fast_tracks", cell.faulted.fast_tracks)
+        .set("quarantine_denials", cell.faulted.quarantine_denials)
+        .set("stale_reservations", cell.faulted.stale_reservations)
+        .set("blast_users", static_cast<std::uint64_t>(cell.blast_users))
+        .set("max_isolation_excess", cell.max_excess)
+        .set("isolation_violations", cell.isolation_violations)
+        .set("lease_liveness_violations",
+             static_cast<std::uint64_t>(
+                 cell.faulted.coordinator_log.invariant_issues.size()))
+        .set("ledger_checks", cell.faulted.ledger_checks)
+        .set("ledger_violations", cell.faulted.ledger_violations)
+        .set("fingerprint", bench::fingerprint_hex(cell.faulted.fingerprint))
+        .set("reference_fingerprint",
+             bench::fingerprint_hex(cell.reference.fingerprint));
+    rows.push(std::move(row));
   }
+  bench::Json summary = sweep.summary("arena_chaos", wall_s);
+  summary.set("isolation_abs", kIsolationAbs)
+      .set("isolation_frac", kIsolationFrac)
+      .set("total_failover_revocations", totals.failover_revocations)
+      .set("total_fast_tracks", total_fast_tracks)
+      .set("total_quarantine_denials", total_quarantine_denials)
+      .set("logs_verified", logs_verified);
+  gates.write(sweep.json, std::move(summary), "sweep", std::move(rows));
 
-  if (failures == 0) {
-    std::printf(
-        "\nOK: %zu user counts x %zu scenarios x %zu seeds — ledgers "
-        "closed, leases live, isolation held (max excess %.1f misses), "
-        "%llu failovers / %llu fast-tracks / %llu quarantine denials "
-        "(%.1f s wall)\n",
-        user_counts.size(), grid.size(), seed_list.size(),
-        [&] {
-          double m = 0.0;
-          for (const CellResult& cell : results) {
-            m = std::max(m, cell.max_excess);
-          }
-          return m;
-        }(),
-        static_cast<unsigned long long>(totals.failover_revocations),
-        static_cast<unsigned long long>(total_fast_tracks),
-        static_cast<unsigned long long>(total_quarantine_denials), wall_s);
-    return 0;
+  double max_excess = 0.0;
+  for (const CellResult& cell : results) {
+    max_excess = std::max(max_excess, cell.max_excess);
   }
-  std::printf("\nFAIL: %d gate(s) failed\n", failures);
-  return 1;
+  return gates.finish(
+      "%zu user counts x %zu scenarios x %zu seeds — ledgers closed, leases "
+      "live, isolation held (max excess %.1f misses), %llu failovers / %llu "
+      "fast-tracks / %llu quarantine denials (%.1f s wall)",
+      user_counts.size(), grid.size(), seed_list.size(), max_excess,
+      static_cast<unsigned long long>(totals.failover_revocations),
+      static_cast<unsigned long long>(total_fast_tracks),
+      static_cast<unsigned long long>(total_quarantine_denials), wall_s);
 }

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -182,21 +181,6 @@ inline LogSinks make_sinks(const std::string& dir, const std::string& stem,
     sinks.users.push_back(open("user" + std::to_string(u)));
   }
   return sinks;
-}
-
-/// Parses a comma-separated `--users` list of positive counts into `out`.
-inline bool parse_users(const char* list, std::vector<std::size_t>& out) {
-  out.clear();
-  for (const char* p = list; *p != '\0';) {
-    char* endp = nullptr;
-    const unsigned long v = std::strtoul(p, &endp, 10);
-    if (endp == p || v == 0) {
-      return false;
-    }
-    out.push_back(static_cast<std::size_t>(v));
-    p = *endp == ',' ? endp + 1 : endp;
-  }
-  return true;
 }
 
 }  // namespace movr::bench

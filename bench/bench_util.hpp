@@ -129,19 +129,6 @@ inline std::string fingerprint_hex(std::uint64_t fingerprint) {
   return buf;
 }
 
-/// The seeds a sweep runs: exactly `single` in replay mode, else 1..seeds.
-inline std::vector<std::uint64_t> seed_list(bool replay, std::uint64_t single,
-                                            int seeds) {
-  if (replay) {
-    return {single};
-  }
-  std::vector<std::uint64_t> out;
-  for (int s = 1; s <= seeds; ++s) {
-    out.push_back(static_cast<std::uint64_t>(s));
-  }
-  return out;
-}
-
 /// Creates `dir` and its parents for a bench's output files; false, with
 /// the reason on stderr, when it cannot.
 inline bool make_dir(const std::string& dir) {

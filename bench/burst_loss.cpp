@@ -23,23 +23,17 @@
 // replays bit-identically; on failure the exact replay command is printed.
 // Each arm carries a fingerprint hash so a replay can be compared
 // byte-for-byte against the sweep.
-//
-// Usage: burst_loss [--seeds N] [--seed S] [--duration SECONDS]
-//                   [--json PATH]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include <sim/fault_injector.hpp>
 #include <sim/rng.hpp>
 #include <vr/session.hpp>
 
-#include "bench_util.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -47,18 +41,10 @@ using namespace movr;
 using bench::fingerprint_mix;
 using bench::uniform;
 using geom::deg_to_rad;
-using namespace std::chrono_literals;
 
 enum class Arm { kArqOnly, kStaticFec, kAdaptive };
 
 constexpr const char* kArmNames[] = {"arq-only", "static-fec", "adaptive"};
-
-struct ArmResult {
-  vr::QoeReport report;
-  std::uint64_t ledger_checks{0};
-  std::uint64_t ledger_violations{0};
-  std::uint64_t fingerprint{0};
-};
 
 /// A person stands on the AP-headset line for 40% of the session.
 vr::BlockageScript standing_blocker(sim::Duration duration) {
@@ -74,7 +60,7 @@ vr::BlockageScript standing_blocker(sim::Duration duration) {
 /// One seed, one arm. The world — scene, blocker, fault windows, burst
 /// chain, every RNG stream — is a pure function of `seed`, so the three
 /// arms differ only in the transport's protection config.
-ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
+bench::ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
   const auto duration = sim::from_seconds(duration_s);
   const sim::TimePoint end{duration};
   sim::RngRegistry rngs{seed};
@@ -139,15 +125,8 @@ ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
 
   vr::Session session{simulator, scene, strategy, nullptr, &script, config};
 
-  ArmResult result;
-  for (sim::TimePoint t{20ms}; t < end; t += 20ms) {
-    simulator.at(t, [&result, &session] {
-      ++result.ledger_checks;
-      if (!session.transport()->ledger_closes()) {
-        ++result.ledger_violations;
-      }
-    });
-  }
+  bench::ArmResult result;
+  bench::audit_ledger(simulator, session, end, result);
   result.report = session.run();
 
   const net::TransportMetrics& m = *result.report.transport;
@@ -172,53 +151,18 @@ ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
   return result;
 }
 
-void print_usage() {
-  std::printf(
-      "burst_loss — ARQ-only vs static FEC vs adaptive hybrid under a\n"
-      "seeded Gilbert–Elliott burst channel\n\n"
-      "  burst_loss [--seeds N] [--seed S] [--duration SECONDS]\n\n"
-      "  --seeds N            run seeds 1..N (default 6)\n"
-      "  --seed S             run exactly one seed (replay mode)\n"
-      "  --duration SECONDS   sim time per seed (default 12)\n"
-      "  --json PATH          write a machine-readable summary (wall time,\n"
-      "                       per-arm miss fraction and pooled percentiles)\n"
-      "                       to PATH\n\n"
-      "Exits nonzero when any arm's packet ledger fails a 20 ms check or\n"
-      "the adaptive hybrid does not beat ARQ-only on both residual frame\n"
-      "loss and pooled p99 latency. On failure the single-seed replay\n"
-      "command is printed; fingerprints compare replays bit-for-bit.\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  int seeds = 6;
-  std::uint64_t single_seed = 0;
-  bool have_single_seed = false;
-  double duration_s = 12.0;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      single_seed = std::strtoull(argv[++i], nullptr, 10);
-      have_single_seed = true;
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      print_usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      print_usage();
-      return 2;
-    }
+  bench::SweepFlags sweep{6, 12.0};
+  bench::Cli cli{
+      "burst_loss — ARQ-only vs static FEC vs adaptive hybrid under a\n"
+      "seeded Gilbert–Elliott burst channel"};
+  if (const auto status = sweep.bind(cli).parse(argc, argv)) {
+    return *status;
   }
-
-  const std::vector<std::uint64_t> seed_list =
-      bench::seed_list(have_single_seed, single_seed, seeds);
+  const std::vector<std::uint64_t> seed_list = sweep.seed_list();
+  const double duration_s = sweep.duration_s;
 
   bench::print_header(
       "Burst loss — ARQ-only vs static FEC vs adaptive hybrid FEC/ARQ");
@@ -226,7 +170,7 @@ int main(int argc, char** argv) {
               "misses", "p99ms", "retx", "parity", "recov", "drops",
               "bursts", "fingerprint");
 
-  int failures = 0;
+  bench::Gates gates;
   // Aggregates across seeds, indexed by arm.
   std::uint64_t misses[3] = {0, 0, 0};
   std::uint64_t frames[3] = {0, 0, 0};
@@ -239,7 +183,7 @@ int main(int argc, char** argv) {
   const auto wall_start = std::chrono::steady_clock::now();
   for (const std::uint64_t seed : seed_list) {
     for (int a = 0; a < 3; ++a) {
-      const ArmResult r = run_arm(static_cast<Arm>(a), seed, duration_s);
+      const bench::ArmResult r = run_arm(static_cast<Arm>(a), seed, duration_s);
       const net::TransportMetrics& m = *r.report.transport;
       std::printf("%5llu %-11s %5llu/%-4llu %8.2f %8llu %8llu %8llu %8llu "
                   "%8llu %018llx\n",
@@ -263,39 +207,11 @@ int main(int argc, char** argv) {
       }
       const auto samples = bench::latency_samples(m);
       pooled[a].insert(pooled[a].end(), samples.begin(), samples.end());
-
-      bool arm_failed = false;
-      if (r.ledger_violations > 0) {
-        std::printf("FAIL: %llu of %llu ledger checks open (seed %llu, %s)\n",
-                    static_cast<unsigned long long>(r.ledger_violations),
-                    static_cast<unsigned long long>(r.ledger_checks),
-                    static_cast<unsigned long long>(seed), kArmNames[a]);
-        arm_failed = true;
-      }
-      if (!m.conserved()) {
-        std::printf("FAIL: final packet ledger does not close (seed %llu, "
-                    "%s)\n",
-                    static_cast<unsigned long long>(seed), kArmNames[a]);
-        arm_failed = true;
-      }
-      if (!r.report.burst.has_value() || r.report.burst->forced_bad == 0) {
-        std::printf("FAIL: the fault windows never forced the burst chain "
-                    "bad (seed %llu, %s)\n",
-                    static_cast<unsigned long long>(seed), kArmNames[a]);
-        arm_failed = true;
-      }
-      if (arm_failed) {
-        std::printf("  replay: burst_loss --seed %llu --duration %g\n",
-                    static_cast<unsigned long long>(seed), duration_s);
-        ++failures;
-      }
+      bench::check_arm(gates, r, "burst_loss", kArmNames[a], "fault windows",
+                       seed, duration_s);
     }
   }
-
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double wall_s = bench::seconds_since(wall_start);
 
   const auto miss_fraction = [&](int a) {
     return frames[a] > 0 ? static_cast<double>(misses[a]) /
@@ -309,37 +225,6 @@ int main(int argc, char** argv) {
                          bench::percentile(pooled[fec], 0.99),
                          bench::percentile(pooled[hyb], 0.99)};
 
-  // Machine-readable summary; residual loss == aggregate deadline-miss
-  // fraction per arm, percentiles pooled across seeds.
-  const auto emit_summary = [&](int gate_failures) {
-    if (json_path.empty()) {
-      return true;
-    }
-    bench::Json arms = bench::Json::array();
-    for (int a = 0; a < 3; ++a) {
-      bench::Json arm = bench::Json::object();
-      arm.set("name", kArmNames[a])
-          .set("p50_ms", bench::percentile(pooled[a], 0.50))
-          .set("p95_ms", bench::percentile(pooled[a], 0.95))
-          .set("p99_ms", p99[a])
-          .set("frames", frames[a])
-          .set("deadline_misses", misses[a])
-          .set("residual_loss", miss_fraction(a))
-          .set("retransmits", retransmits[a])
-          .set("packets_dropped", drops[a]);
-      arms.push(std::move(arm));
-    }
-    bench::Json doc = bench::Json::object();
-    doc.set("bench", "burst_loss")
-        .set("wall_time_s", wall_s)
-        .set("duration_s", duration_s)
-        .set("seeds", static_cast<std::uint64_t>(seed_list.size()))
-        .set("replay", have_single_seed)
-        .set("pass", gate_failures == 0)
-        .set("arms", std::move(arms));
-    return bench::emit_json(json_path, doc);
-  };
-
   std::printf("\n%-11s %10s %10s\n", "aggregate", "miss-frac", "p99ms");
   for (int a = 0; a < 3; ++a) {
     std::printf("%-11s %9.3f%% %10.2f\n", kArmNames[a],
@@ -350,52 +235,47 @@ int main(int argc, char** argv) {
   // the multi-seed sweep. A single-seed replay exists to reproduce a ledger
   // violation or a fingerprint bit-identically, so only the per-arm
   // invariants above apply there.
-  if (have_single_seed) {
-    if (!emit_summary(failures)) {
-      ++failures;
-    }
-    if (failures == 0) {
-      std::printf("\nOK: single-seed replay, ledgers closed (aggregate "
-                  "policy gates apply to multi-seed sweeps only)\n");
-      return 0;
-    }
-    std::printf("\nFAIL: %d gate(s) failed\n", failures);
-    return 1;
-  }
-  if (!(miss_fraction(hyb) < miss_fraction(arq))) {
-    std::printf("FAIL: adaptive residual loss %.3f%% does not beat ARQ-only "
-                "%.3f%%\n",
-                100.0 * miss_fraction(hyb), 100.0 * miss_fraction(arq));
-    ++failures;
-  }
-  if (!(p99[hyb] < p99[arq])) {
-    std::printf("FAIL: adaptive pooled p99 %.2f ms does not beat ARQ-only "
-                "%.2f ms\n",
-                p99[hyb], p99[arq]);
-    ++failures;
-  }
-  if (protected_frames == 0 || recovered == 0) {
-    std::printf("FAIL: the adaptive layer never engaged (protected %llu, "
-                "recovered %llu)\n",
-                static_cast<unsigned long long>(protected_frames),
-                static_cast<unsigned long long>(recovered));
-    ++failures;
-  }
-  if (misses[arq] == 0) {
-    std::printf("FAIL: the burst channel never bit the ARQ-only arm — the "
-                "comparison is vacuous\n");
-    ++failures;
+  if (!sweep.replay()) {
+    gates.expect(miss_fraction(hyb) < miss_fraction(arq),
+                 "adaptive residual loss %.3f%% does not beat ARQ-only %.3f%%",
+                 100.0 * miss_fraction(hyb), 100.0 * miss_fraction(arq));
+    gates.expect(p99[hyb] < p99[arq],
+                 "adaptive pooled p99 %.2f ms does not beat ARQ-only %.2f ms",
+                 p99[hyb], p99[arq]);
+    gates.expect(protected_frames > 0 && recovered > 0,
+                 "the adaptive layer never engaged (protected %llu, "
+                 "recovered %llu)",
+                 static_cast<unsigned long long>(protected_frames),
+                 static_cast<unsigned long long>(recovered));
+    gates.expect(misses[arq] > 0,
+                 "the burst channel never bit the ARQ-only arm — the "
+                 "comparison is vacuous");
   }
 
-  if (!emit_summary(failures)) {
-    ++failures;
+  // Residual loss == aggregate deadline-miss fraction per arm, percentiles
+  // pooled across seeds.
+  bench::Json arms = bench::Json::array();
+  for (int a = 0; a < 3; ++a) {
+    bench::Json arm = bench::Json::object();
+    arm.set("name", kArmNames[a])
+        .set("p50_ms", bench::percentile(pooled[a], 0.50))
+        .set("p95_ms", bench::percentile(pooled[a], 0.95))
+        .set("p99_ms", p99[a])
+        .set("frames", frames[a])
+        .set("deadline_misses", misses[a])
+        .set("residual_loss", miss_fraction(a))
+        .set("retransmits", retransmits[a])
+        .set("packets_dropped", drops[a]);
+    arms.push(std::move(arm));
   }
-  if (failures == 0) {
-    std::printf("\nOK: %zu seeds x %.0f s x 3 arms, ledgers closed, hybrid "
-                "beats ARQ-only\n",
-                seed_list.size(), duration_s);
-    return 0;
+  gates.write(sweep.json, sweep.summary("burst_loss", wall_s), "arms",
+              std::move(arms));
+  if (sweep.replay()) {
+    return gates.finish(
+        "single-seed replay, ledgers closed (aggregate policy gates apply to "
+        "multi-seed sweeps only)");
   }
-  std::printf("\nFAIL: %d gate(s) failed\n", failures);
-  return 1;
+  return gates.finish(
+      "%zu seeds x %.0f s x 3 arms, ledgers closed, hybrid beats ARQ-only",
+      seed_list.size(), duration_s);
 }

@@ -31,27 +31,9 @@
 // failing seed replays bit-identically; on failure the bench prints the
 // exact replay command. Each row carries a fingerprint hash of the run's
 // counters so a replay can be compared against the sweep byte-for-byte.
-//
-// Usage:
-//   chaos_soak [--seeds N] [--seed S] [--duration SECONDS]
-//              [--disable-watchdog] [--expect-violation]
-//              [--event-log DIR] [--json PATH]
-//
-//   --seeds N            run seeds 1..N (default 20)
-//   --seed S             run exactly one seed (replay mode)
-//   --duration SECONDS   sim time per seed (default 60)
-//   --disable-watchdog   build-breakage tripwire: reflector silence
-//                        watchdogs off; invariant A must catch it
-//   --expect-violation   invert the exit code: succeed only if at least
-//                        one invariant violation was observed
-//   --event-log DIR      also write each seed's signed event log to
-//                        DIR/seed<N>.log (tools/log_verify re-checks the
-//                        chain and all five invariants offline)
-//   --json PATH          write a machine-readable summary to PATH
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,7 +48,7 @@
 #include <vr/fault_scenarios.hpp>
 #include <vr/session.hpp>
 
-#include "bench_util.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -404,65 +386,28 @@ SeedResult run_seed(std::uint64_t seed, double duration_s,
   return result;
 }
 
-void print_usage() {
-  std::printf(
-      "chaos_soak — seeded control-plane chaos soak with per-tick "
-      "invariants\n\n"
-      "  chaos_soak [--seeds N] [--seed S] [--duration SECONDS]\n"
-      "             [--disable-watchdog] [--expect-violation]\n\n"
-      "  --seeds N            run seeds 1..N (default 20)\n"
-      "  --seed S             run exactly one seed (replay mode)\n"
-      "  --duration SECONDS   sim time per seed (default 60)\n"
-      "  --disable-watchdog   tripwire: reflector silence watchdogs off;\n"
-      "                       the gain-<=-leakage invariant must fire\n"
-      "  --expect-violation   exit 0 only if a violation WAS observed\n"
-      "  --event-log DIR      also write each seed's signed event log to\n"
-      "                       DIR/seed<N>.log (verify offline with\n"
-      "                       tools/log_verify)\n"
-      "  --json PATH          write a machine-readable summary to PATH\n\n"
-      "On failure the exact single-seed replay command is printed; the\n"
-      "fingerprint column lets you compare the replay bit-for-bit.\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  int seeds = 20;
-  std::uint64_t single_seed = 0;
-  bool have_single_seed = false;
-  double duration_s = 60.0;
+  bench::SweepFlags sweep{20, 60.0};
   bool disable_watchdog = false;
   bool expect_violation = false;
   std::string event_log_dir;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      single_seed = std::strtoull(argv[++i], nullptr, 10);
-      have_single_seed = true;
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--disable-watchdog") == 0) {
-      disable_watchdog = true;
-    } else if (std::strcmp(argv[i], "--expect-violation") == 0) {
-      expect_violation = true;
-    } else if (std::strcmp(argv[i], "--event-log") == 0 && i + 1 < argc) {
-      event_log_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      print_usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      print_usage();
-      return 2;
-    }
+  bench::Cli cli{
+      "chaos_soak — seeded control-plane chaos soak with per-tick "
+      "invariants"};
+  sweep.bind(cli)
+      .flag("--disable-watchdog", disable_watchdog,
+            "tripwire: silence watchdogs off, invariant A must fire")
+      .flag("--expect-violation", expect_violation,
+            "exit 0 only if an invariant violation WAS observed")
+      .flag("--event-log", event_log_dir,
+            "also write each seed's event log to DIR/seed<N>.log", "DIR");
+  if (const auto status = cli.parse(argc, argv)) {
+    return *status;
   }
-
-  const std::vector<std::uint64_t> seed_list =
-      bench::seed_list(have_single_seed, single_seed, seeds);
+  const std::vector<std::uint64_t> seed_list = sweep.seed_list();
+  const double duration_s = sweep.duration_s;
 
   if (!event_log_dir.empty() && !bench::make_dir(event_log_dir)) {
     return 2;
@@ -476,6 +421,7 @@ int main(int argc, char** argv) {
   std::uint64_t total_violations = 0;
   std::uint64_t thin_logs = 0;
   bench::Json rows = bench::Json::array();
+  const auto wall_start = std::chrono::steady_clock::now();
   for (const std::uint64_t seed : seed_list) {
     const SeedResult r =
         run_seed(seed, duration_s, !disable_watchdog, event_log_dir);
@@ -521,47 +467,30 @@ int main(int argc, char** argv) {
         .set("violations", static_cast<std::uint64_t>(r.violations.size()));
     rows.push(std::move(row));
   }
+  const double wall_s = bench::seconds_since(wall_start);
 
-  if (!json_path.empty()) {
-    bench::Json doc = bench::Json::object();
-    doc.set("bench", "chaos_soak")
-        .set("duration_s", duration_s)
-        .set("seeds", static_cast<std::uint64_t>(seed_list.size()))
-        .set("replay", have_single_seed)
-        .set("watchdog", !disable_watchdog)
-        .set("event_log", !event_log_dir.empty())
-        .set("total_violations", total_violations)
-        .set("pass", thin_logs == 0 && (expect_violation
-                                            ? total_violations > 0
-                                            : total_violations == 0))
-        .set("rows", std::move(rows));
-    if (!bench::emit_json(json_path, doc)) {
-      return 1;
-    }
-  }
-
-  if (thin_logs > 0) {
-    std::printf("\nFAIL: %llu seed log(s) too thin to prove the invariants\n",
-                static_cast<unsigned long long>(thin_logs));
-    return 1;
-  }
+  bench::Gates gates;
+  gates.expect(thin_logs == 0,
+               "%llu seed log(s) too thin to prove the invariants",
+               static_cast<unsigned long long>(thin_logs));
   if (expect_violation) {
-    if (total_violations == 0) {
-      std::printf("\nFAIL: expected at least one invariant violation, saw "
-                  "none — the tripwire did not fire\n");
-      return 1;
-    }
-    std::printf("\nOK: tripwire fired (%llu violations) as expected\n",
-                static_cast<unsigned long long>(total_violations));
-    return 0;
+    gates.expect(total_violations > 0,
+                 "expected at least one invariant violation, saw none — the "
+                 "tripwire did not fire");
+  } else {
+    gates.expect(total_violations == 0,
+                 "%llu invariant violations across %zu seeds",
+                 static_cast<unsigned long long>(total_violations),
+                 seed_list.size());
   }
-  if (total_violations > 0) {
-    std::printf("\nFAIL: %llu invariant violations across %zu seeds\n",
-                static_cast<unsigned long long>(total_violations),
-                seed_list.size());
-    return 1;
+  bench::Json summary = sweep.summary("chaos_soak", wall_s);
+  summary.set("watchdog", !disable_watchdog)
+      .set("event_log", !event_log_dir.empty())
+      .set("total_violations", total_violations);
+  gates.write(sweep.json, std::move(summary), "rows", std::move(rows));
+  if (expect_violation) {
+    return gates.finish("tripwire fired (%llu violations) as expected",
+                        static_cast<unsigned long long>(total_violations));
   }
-  std::printf("\nOK: %zu seeds x %.0f s clean\n", seed_list.size(),
-              duration_s);
-  return 0;
+  return gates.finish("%zu seeds x %.0f s clean", seed_list.size(), duration_s);
 }

@@ -7,14 +7,9 @@
 // not drives the tail to infinity (frames that never complete). Prints the
 // per-strategy CDF plus the transport counters that explain the tail, and
 // exits nonzero when the packet ledger does not close or MoVR's p99 fails
-// to beat both baselines.
-//
-// Usage: frame_latency [--duration S] [--target-mbps M] [--json PATH]
-// (defaults 20 s, 2000 Mbps; `ctest -L net` runs a short smoke).
+// to beat both baselines; `ctest -L net` runs a short smoke.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -22,7 +17,7 @@
 #include <sim/rng.hpp>
 #include <vr/session.hpp>
 
-#include "bench_util.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -44,7 +39,7 @@ vr::BlockageScript standing_blocker(sim::Duration duration) {
 /// A compressed VR stream whose keyframes fit the deadline at the top MCS —
 /// clean air delivers everything, so the tail is pure blockage. The default
 /// 2 Gbps matches the paper's compressed-stream budget; `--target-mbps`
-/// sweeps the source rate (see print_usage for the keyframe caveat).
+/// sweeps the source rate (see --help for the keyframe caveat).
 vr::Session::Config session_config(sim::Duration duration,
                                    double target_mbps) {
   vr::Session::Config config;
@@ -53,25 +48,6 @@ vr::Session::Config session_config(sim::Duration duration,
   transport.source.target_mbps = target_mbps;
   config.transport = transport;
   return config;
-}
-
-void print_usage() {
-  std::printf(
-      "frame_latency — frame-latency CDF under a standing blocker\n"
-      "\n"
-      "  --duration S       session length in seconds (default 20)\n"
-      "  --target-mbps M    source rate of the compressed stream\n"
-      "                     (default 2000)\n"
-      "  --json PATH        write a machine-readable summary (wall time,\n"
-      "                     per-strategy percentiles, misses) to PATH\n"
-      "  --help             this text\n"
-      "\n"
-      "Caveat on --target-mbps: keyframes are ~2.5x the mean frame size,\n"
-      "so a rate that fits the 10 ms frame deadline on average can still\n"
-      "blow it on every keyframe. Past roughly 1/2.5 of the air rate the\n"
-      "keyframe tail dominates p99 and deadline misses climb even with no\n"
-      "blocker in the room — raise the rate deliberately, and read the\n"
-      "misses column next to the percentiles.\n");
 }
 
 struct Row {
@@ -119,17 +95,18 @@ int main(int argc, char** argv) {
   double duration_s = 20.0;
   double target_mbps = 2000.0;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--target-mbps") == 0 && i + 1 < argc) {
-      target_mbps = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      print_usage();
-      return 0;
-    }
+  bench::Cli cli{
+      "frame_latency — frame-latency CDF under a standing blocker\n\n"
+      "Keyframes are ~2.5x the mean frame size, so a --target-mbps that fits\n"
+      "the 10 ms frame deadline on average can still blow it on every\n"
+      "keyframe: past roughly 1/2.5 of the air rate the keyframe tail\n"
+      "dominates p99 and misses climb with no blocker in the room. Read the\n"
+      "misses column next to the percentiles."};
+  cli.flag("--duration", duration_s, "session length in seconds", "S")
+      .flag("--target-mbps", target_mbps, "stream source rate in Mbps", "M")
+      .flag("--json", json_path, "write a machine-readable summary to PATH");
+  if (const auto status = cli.parse(argc, argv)) {
+    return *status;
   }
   const auto duration = sim::from_seconds(duration_s);
   const auto script = standing_blocker(duration);
@@ -144,10 +121,7 @@ int main(int argc, char** argv) {
                   run_strategy(Strategy::kFixedBeam, config, script, rngs)});
   rows.push_back({"NLOS beam switching",
                   run_strategy(Strategy::kNlosSweep, config, script, rngs)});
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double wall_s = bench::seconds_since(wall_start);
 
   bench::print_header(
       "Frame latency — standing blocker over 40% of the session (ms)");
@@ -169,56 +143,42 @@ int main(int argc, char** argv) {
   }
 
   // The bench doubles as an acceptance gate.
-  int failures = 0;
+  bench::Gates gates;
   for (const Row& row : rows) {
-    if (!row.report.transport->conserved()) {
-      std::printf("FAIL: packet ledger does not close for %s\n", row.name);
-      ++failures;
-    }
+    gates.expect(row.report.transport->conserved(),
+                 "packet ledger does not close for %s", row.name);
   }
   const net::TransportMetrics& movr = *rows[0].report.transport;
   const net::TransportMetrics& fixed = *rows[1].report.transport;
   const net::TransportMetrics& nlos = *rows[2].report.transport;
-  if (!(movr.p99_ms < fixed.p99_ms) || !(movr.p99_ms < nlos.p99_ms)) {
-    std::printf("FAIL: MoVR p99 %.2f ms does not beat fixed %.2f / NLOS %.2f\n",
-                movr.p99_ms, fixed.p99_ms, nlos.p99_ms);
-    ++failures;
-  }
-  if (!(movr.p50_ms > 0.0) || !(movr.p99_ms > movr.p50_ms)) {
-    std::printf("FAIL: MoVR latency CDF is degenerate (p50 %.3f, p99 %.3f)\n",
-                movr.p50_ms, movr.p99_ms);
-    ++failures;
-  }
-  if (fixed.deadline_misses == 0) {
-    std::printf("FAIL: the blocker never bit the fixed beam\n");
-    ++failures;
-  }
+  gates.expect(movr.p99_ms < fixed.p99_ms && movr.p99_ms < nlos.p99_ms,
+               "MoVR p99 %.2f ms does not beat fixed %.2f / NLOS %.2f",
+               movr.p99_ms, fixed.p99_ms, nlos.p99_ms);
+  gates.expect(movr.p50_ms > 0.0 && movr.p99_ms > movr.p50_ms,
+               "MoVR latency CDF is degenerate (p50 %.3f, p99 %.3f)",
+               movr.p50_ms, movr.p99_ms);
+  gates.expect(fixed.deadline_misses > 0,
+               "the blocker never bit the fixed beam");
 
-  if (!json_path.empty()) {
-    bench::Json arms = bench::Json::array();
-    for (const Row& row : rows) {
-      const net::TransportMetrics& m = *row.report.transport;
-      bench::Json arm = bench::Json::object();
-      arm.set("name", row.name)
-          .set("p50_ms", m.p50_ms)
-          .set("p95_ms", m.p95_ms)
-          .set("p99_ms", m.p99_ms)
-          .set("frames", m.frames_emitted)
-          .set("deadline_misses", m.deadline_misses)
-          .set("retransmits", m.retransmits)
-          .set("packets_dropped", m.packets_dropped);
-      arms.push(std::move(arm));
-    }
-    bench::Json doc = bench::Json::object();
-    doc.set("bench", "frame_latency")
-        .set("wall_time_s", wall_s)
-        .set("duration_s", duration_s)
-        .set("target_mbps", target_mbps)
-        .set("pass", failures == 0)
-        .set("arms", std::move(arms));
-    if (!bench::emit_json(json_path, doc)) {
-      ++failures;
-    }
+  bench::Json arms = bench::Json::array();
+  for (const Row& row : rows) {
+    const net::TransportMetrics& m = *row.report.transport;
+    bench::Json arm = bench::Json::object();
+    arm.set("name", row.name)
+        .set("p50_ms", m.p50_ms)
+        .set("p95_ms", m.p95_ms)
+        .set("p99_ms", m.p99_ms)
+        .set("frames", m.frames_emitted)
+        .set("deadline_misses", m.deadline_misses)
+        .set("retransmits", m.retransmits)
+        .set("packets_dropped", m.packets_dropped);
+    arms.push(std::move(arm));
   }
-  return failures == 0 ? 0 : 1;
+  bench::Json summary = bench::Json::object();
+  summary.set("bench", "frame_latency")
+      .set("wall_time_s", wall_s)
+      .set("duration_s", duration_s)
+      .set("target_mbps", target_mbps);
+  gates.write(json_path, std::move(summary), "arms", std::move(arms));
+  return gates.ok() ? 0 : 1;
 }

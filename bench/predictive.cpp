@@ -28,16 +28,10 @@
 // Every draw derives from the seed via sim::RngRegistry; a failing seed
 // replays bit-identically and prints the replay command. Fingerprints
 // compare replays byte-for-byte.
-//
-// Usage: predictive [--seeds N] [--seed S] [--duration SECONDS]
-//                   [--json PATH]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include <sim/fault_injector.hpp>
@@ -45,7 +39,7 @@
 #include <vr/predictive.hpp>
 #include <vr/session.hpp>
 
-#include "bench_util.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -60,13 +54,6 @@ enum class Arm { kReactive, kPredictive, kChaosHalf, kChaosFull };
 constexpr const char* kArmNames[] = {"reactive", "predictive", "chaos-50",
                                      "chaos-100"};
 constexpr int kArms = 4;
-
-struct ArmResult {
-  vr::QoeReport report;
-  std::uint64_t ledger_checks{0};
-  std::uint64_t ledger_violations{0};
-  std::uint64_t fingerprint{0};
-};
 
 /// The person stands still for the whole session; the *headset* does the
 /// moving (the blockage is motion-induced, which is what makes it
@@ -104,7 +91,7 @@ PacingLine pacing_line(std::mt19937_64& chaos) {
 /// One seed, one arm. The world — scene, blocker, pacing line, fault
 /// windows, burst chain, every RNG stream — is a pure function of `seed`,
 /// so the four arms differ only in the link-control strategy.
-ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
+bench::ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
   const auto duration = sim::from_seconds(duration_s);
   const sim::TimePoint end{duration};
   sim::RngRegistry rngs{seed};
@@ -160,17 +147,10 @@ ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
   config.burst_loss = burst;
 
   auto mgr_rng = rngs.stream("mgr");
-  ArmResult result;
+  bench::ArmResult result;
   const auto run_session = [&](vr::LinkStrategy& strategy) {
     vr::Session session{simulator, scene, strategy, &motion, &script, config};
-    for (sim::TimePoint t{20ms}; t < end; t += 20ms) {
-      simulator.at(t, [&result, &session] {
-        ++result.ledger_checks;
-        if (!session.transport()->ledger_closes()) {
-          ++result.ledger_violations;
-        }
-      });
-    }
+    bench::audit_ledger(simulator, session, end, result);
     result.report = session.run();
   };
 
@@ -213,56 +193,19 @@ ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
   return result;
 }
 
-void print_usage() {
-  std::printf(
-      "predictive — predictive vs reactive link control under a pacing\n"
-      "headset crossing a standing blocker's shadow, plus a seeded fault\n"
-      "storm\n\n"
-      "  predictive [--seeds N] [--seed S] [--duration SECONDS]\n"
-      "             [--json PATH]\n\n"
-      "  --seeds N            run seeds 1..N (default 5)\n"
-      "  --seed S             run exactly one seed (replay mode)\n"
-      "  --duration SECONDS   sim time per seed (default 16)\n"
-      "  --json PATH          write a machine-readable summary to PATH\n\n"
-      "Exits nonzero when any arm's extended packet ledger (speculative\n"
-      "buckets included) fails a 20 ms check, when the predictive arm does\n"
-      "not beat the reactive arm on both glitched frames and pooled p99,\n"
-      "or when a chaos arm (forced mispredictions, up to 100%% wrong)\n"
-      "regresses beyond the containment epsilon. On failure the\n"
-      "single-seed replay command is printed; fingerprints compare\n"
-      "replays bit-for-bit.\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  int seeds = 5;
-  std::uint64_t single_seed = 0;
-  bool have_single_seed = false;
-  double duration_s = 16.0;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      single_seed = std::strtoull(argv[++i], nullptr, 10);
-      have_single_seed = true;
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      print_usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      print_usage();
-      return 2;
-    }
+  bench::SweepFlags sweep{5, 16.0};
+  bench::Cli cli{
+      "predictive — predictive vs reactive link control under a pacing\n"
+      "headset crossing a standing blocker's shadow, plus a seeded fault\n"
+      "storm"};
+  if (const auto status = sweep.bind(cli).parse(argc, argv)) {
+    return *status;
   }
-
-  const std::vector<std::uint64_t> seed_list =
-      bench::seed_list(have_single_seed, single_seed, seeds);
+  const std::vector<std::uint64_t> seed_list = sweep.seed_list();
+  const double duration_s = sweep.duration_s;
 
   bench::print_header(
       "Predictive link control — forecast blockage, hand over before it "
@@ -271,7 +214,7 @@ int main(int argc, char** argv) {
               "glitched", "p99ms", "proact", "windows", "mispred", "specdup",
               "saves", "fingerprint");
 
-  int failures = 0;
+  bench::Gates gates;
   // Aggregates across seeds, indexed by arm.
   std::uint64_t glitched[kArms] = {0, 0, 0, 0};
   std::uint64_t frames[kArms] = {0, 0, 0, 0};
@@ -286,7 +229,8 @@ int main(int argc, char** argv) {
   const auto wall_start = std::chrono::steady_clock::now();
   for (const std::uint64_t seed : seed_list) {
     for (int a = 0; a < kArms; ++a) {
-      const ArmResult r = run_arm(static_cast<Arm>(a), seed, duration_s);
+      const bench::ArmResult r =
+          run_arm(static_cast<Arm>(a), seed, duration_s);
       const net::TransportMetrics& m = *r.report.transport;
       const vr::PredictiveLinkStats p =
           r.report.predictive.value_or(vr::PredictiveLinkStats{});
@@ -311,37 +255,11 @@ int main(int argc, char** argv) {
       const auto samples = bench::latency_samples(m);
       pooled[a].insert(pooled[a].end(), samples.begin(), samples.end());
 
-      bool arm_failed = false;
-      if (r.ledger_violations > 0) {
-        std::printf("FAIL: %llu of %llu ledger checks open (seed %llu, %s)\n",
-                    static_cast<unsigned long long>(r.ledger_violations),
-                    static_cast<unsigned long long>(r.ledger_checks),
-                    static_cast<unsigned long long>(seed), kArmNames[a]);
-        arm_failed = true;
-      }
-      if (!m.conserved()) {
-        std::printf("FAIL: final packet ledger does not close (seed %llu, "
-                    "%s)\n",
-                    static_cast<unsigned long long>(seed), kArmNames[a]);
-        arm_failed = true;
-      }
-      if (!r.report.burst.has_value() || r.report.burst->forced_bad == 0) {
-        std::printf("FAIL: the fault storm never forced the burst chain bad "
-                    "(seed %llu, %s)\n",
-                    static_cast<unsigned long long>(seed), kArmNames[a]);
-        arm_failed = true;
-      }
-      if (arm_failed) {
-        std::printf("  replay: predictive --seed %llu --duration %g\n",
-                    static_cast<unsigned long long>(seed), duration_s);
-        ++failures;
-      }
+      bench::check_arm(gates, r, "predictive", kArmNames[a], "fault storm",
+                       seed, duration_s);
     }
   }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double wall_s = bench::seconds_since(wall_start);
 
   const int react = static_cast<int>(Arm::kReactive);
   const int pred = static_cast<int>(Arm::kPredictive);
@@ -359,124 +277,82 @@ int main(int argc, char** argv) {
                 proactive[a], mispredictions[a], chaos_garbled[a]);
   }
 
-  const auto emit_summary = [&](int gate_failures) {
-    if (json_path.empty()) {
-      return true;
-    }
-    bench::Json arms = bench::Json::array();
-    for (int a = 0; a < kArms; ++a) {
-      bench::Json arm = bench::Json::object();
-      arm.set("name", kArmNames[a])
-          .set("p50_ms", bench::percentile(pooled[a], 0.50))
-          .set("p99_ms", p99[a])
-          .set("frames", frames[a])
-          .set("glitched_frames", glitched[a])
-          .set("risk_windows", risk_windows[a])
-          .set("proactive_handovers", proactive[a])
-          .set("mispredictions", mispredictions[a])
-          .set("chaos_garbled", chaos_garbled[a])
-          .set("speculative_dups", spec_dups[a])
-          .set("speculative_saves", spec_saves[a]);
-      arms.push(std::move(arm));
-    }
-    bench::Json doc = bench::Json::object();
-    doc.set("bench", "predictive")
-        .set("wall_time_s", wall_s)
-        .set("duration_s", duration_s)
-        .set("seeds", static_cast<std::uint64_t>(seed_list.size()))
-        .set("replay", have_single_seed)
-        .set("pass", gate_failures == 0)
-        .set("arms", std::move(arms));
-    return bench::emit_json(json_path, doc);
-  };
-
   // The policy gates are statistical aggregates — they bind on the
   // multi-seed sweep; a single-seed replay reproduces a ledger violation
   // or a fingerprint bit-identically.
-  if (have_single_seed) {
-    if (!emit_summary(failures)) {
-      ++failures;
+  if (!sweep.replay()) {
+    // Gate 1: the predictive arm must beat reactive on BOTH axes.
+    gates.expect(glitched[pred] < glitched[react],
+                 "predictive glitched %llu does not beat reactive %llu",
+                 static_cast<unsigned long long>(glitched[pred]),
+                 static_cast<unsigned long long>(glitched[react]));
+    gates.expect(p99[pred] < p99[react],
+                 "predictive pooled p99 %.2f ms does not beat reactive "
+                 "%.2f ms",
+                 p99[pred], p99[react]);
+
+    // Gate 2: misprediction containment. Even a 100% wrong forecaster must
+    // stay within epsilon of the reactive baseline: a bounded number of
+    // wasted proactive handovers and the aperture-split penalty are the
+    // whole permitted cost.
+    const std::uint64_t glitch_epsilon =
+        std::max<std::uint64_t>(5, frames[react] / 50);
+    const double p99_epsilon_ms = 1.0;
+    for (const int a : {static_cast<int>(Arm::kChaosHalf),
+                        static_cast<int>(Arm::kChaosFull)}) {
+      gates.expect(glitched[a] <= glitched[react] + glitch_epsilon,
+                   "%s glitched %llu exceeds reactive %llu + epsilon %llu",
+                   kArmNames[a], static_cast<unsigned long long>(glitched[a]),
+                   static_cast<unsigned long long>(glitched[react]),
+                   static_cast<unsigned long long>(glitch_epsilon));
+      gates.expect(!(p99[a] > p99[react] + p99_epsilon_ms),
+                   "%s p99 %.2f ms exceeds reactive %.2f ms + %.1f ms",
+                   kArmNames[a], p99[a], p99[react], p99_epsilon_ms);
     }
-    if (failures == 0) {
-      std::printf("\nOK: single-seed replay, ledgers closed (aggregate "
-                  "policy gates apply to multi-seed sweeps only)\n");
-      return 0;
-    }
-    std::printf("\nFAIL: %d gate(s) failed\n", failures);
-    return 1;
+
+    // Gate 3: engagement — the machinery under test must actually have run.
+    gates.expect(risk_windows[pred] > 0 && proactive[pred] > 0 &&
+                     spec_dups[pred] + spec_saves[pred] > 0,
+                 "the predictive tier never engaged (windows %ld, proactive "
+                 "%ld, spec dups %llu, saves %llu)",
+                 risk_windows[pred], proactive[pred],
+                 static_cast<unsigned long long>(spec_dups[pred]),
+                 static_cast<unsigned long long>(spec_saves[pred]));
+    const int cfull = static_cast<int>(Arm::kChaosFull);
+    gates.expect(chaos_garbled[cfull] != 0 && mispredictions[cfull] != 0,
+                 "the chaos knob never garbled a forecast (garbled %ld, "
+                 "mispredictions %ld)",
+                 chaos_garbled[cfull], mispredictions[cfull]);
+    gates.expect(glitched[react] > 0,
+                 "the blocker never bit the reactive arm — the comparison is "
+                 "vacuous");
   }
 
-  // Gate 1: the predictive arm must beat reactive on BOTH axes.
-  if (!(glitched[pred] < glitched[react])) {
-    std::printf("FAIL: predictive glitched %llu does not beat reactive "
-                "%llu\n",
-                static_cast<unsigned long long>(glitched[pred]),
-                static_cast<unsigned long long>(glitched[react]));
-    ++failures;
+  bench::Json arms = bench::Json::array();
+  for (int a = 0; a < kArms; ++a) {
+    bench::Json arm = bench::Json::object();
+    arm.set("name", kArmNames[a])
+        .set("p50_ms", bench::percentile(pooled[a], 0.50))
+        .set("p99_ms", p99[a])
+        .set("frames", frames[a])
+        .set("glitched_frames", glitched[a])
+        .set("risk_windows", risk_windows[a])
+        .set("proactive_handovers", proactive[a])
+        .set("mispredictions", mispredictions[a])
+        .set("chaos_garbled", chaos_garbled[a])
+        .set("speculative_dups", spec_dups[a])
+        .set("speculative_saves", spec_saves[a]);
+    arms.push(std::move(arm));
   }
-  if (!(p99[pred] < p99[react])) {
-    std::printf("FAIL: predictive pooled p99 %.2f ms does not beat reactive "
-                "%.2f ms\n",
-                p99[pred], p99[react]);
-    ++failures;
+  gates.write(sweep.json, sweep.summary("predictive", wall_s), "arms",
+              std::move(arms));
+  if (sweep.replay()) {
+    return gates.finish(
+        "single-seed replay, ledgers closed (aggregate policy gates apply to "
+        "multi-seed sweeps only)");
   }
-
-  // Gate 2: misprediction containment. Even a 100% wrong forecaster must
-  // stay within epsilon of the reactive baseline: a bounded number of
-  // wasted proactive handovers and the aperture-split penalty are the
-  // whole permitted cost.
-  const std::uint64_t glitch_epsilon =
-      std::max<std::uint64_t>(5, frames[react] / 50);
-  const double p99_epsilon_ms = 1.0;
-  for (const int a : {static_cast<int>(Arm::kChaosHalf),
-                      static_cast<int>(Arm::kChaosFull)}) {
-    if (glitched[a] > glitched[react] + glitch_epsilon) {
-      std::printf("FAIL: %s glitched %llu exceeds reactive %llu + epsilon "
-                  "%llu\n",
-                  kArmNames[a], static_cast<unsigned long long>(glitched[a]),
-                  static_cast<unsigned long long>(glitched[react]),
-                  static_cast<unsigned long long>(glitch_epsilon));
-      ++failures;
-    }
-    if (p99[a] > p99[react] + p99_epsilon_ms) {
-      std::printf("FAIL: %s p99 %.2f ms exceeds reactive %.2f ms + %.1f ms\n",
-                  kArmNames[a], p99[a], p99[react], p99_epsilon_ms);
-      ++failures;
-    }
-  }
-
-  // Gate 3: engagement — the machinery under test must actually have run.
-  if (risk_windows[pred] == 0 || proactive[pred] == 0 ||
-      spec_dups[pred] + spec_saves[pred] == 0) {
-    std::printf("FAIL: the predictive tier never engaged (windows %ld, "
-                "proactive %ld, spec dups %llu, saves %llu)\n",
-                risk_windows[pred], proactive[pred],
-                static_cast<unsigned long long>(spec_dups[pred]),
-                static_cast<unsigned long long>(spec_saves[pred]));
-    ++failures;
-  }
-  const int cfull = static_cast<int>(Arm::kChaosFull);
-  if (chaos_garbled[cfull] == 0 || mispredictions[cfull] == 0) {
-    std::printf("FAIL: the chaos knob never garbled a forecast (garbled "
-                "%ld, mispredictions %ld)\n",
-                chaos_garbled[cfull], mispredictions[cfull]);
-    ++failures;
-  }
-  if (glitched[react] == 0) {
-    std::printf("FAIL: the blocker never bit the reactive arm — the "
-                "comparison is vacuous\n");
-    ++failures;
-  }
-
-  if (!emit_summary(failures)) {
-    ++failures;
-  }
-  if (failures == 0) {
-    std::printf("\nOK: %zu seeds x %.0f s x %d arms, ledgers closed, "
-                "predictive beats reactive, mispredictions contained\n",
-                seed_list.size(), duration_s, kArms);
-    return 0;
-  }
-  std::printf("\nFAIL: %d gate(s) failed\n", failures);
-  return 1;
+  return gates.finish(
+      "%zu seeds x %.0f s x %d arms, ledgers closed, predictive beats "
+      "reactive, mispredictions contained",
+      seed_list.size(), duration_s, kArms);
 }

@@ -5,7 +5,6 @@
 // are glitches the player sees; a strategy either bridges blockages or it
 // does not. Also covers the paper's Section 1 WiFi argument.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include <baseline/dual_antenna.hpp>
@@ -17,7 +16,7 @@
 #include <sim/rng.hpp>
 #include <vr/session.hpp>
 
-#include "bench_util.hpp"
+#include "harness.hpp"
 
 namespace {
 
@@ -58,27 +57,20 @@ int main(int argc, char** argv) {
   bool with_control_faults = false;
   bool with_burst_loss = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--transport") == 0) {
-      with_transport = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      // Machine-readable summary (same bench::Json document shape the
-      // other benches emit) alongside the human tables.
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--control-faults") == 0) {
-      // Runs MoVR's row with the hardened control plane attached and a
-      // 1.5 s control partition mid-session, and prints the incident
-      // counters (core::ControlPlaneIncidents) under the QoE table.
-      with_control_faults = true;
-    } else if (std::strcmp(argv[i], "--burst-loss") == 0) {
-      // Drives every strategy's transport through a seeded Gilbert-Elliott
-      // burst channel with the adaptive FEC/ARQ controller engaged, and
-      // prints the recovery and burst counters under the transport table.
-      // Implies --transport.
-      with_burst_loss = true;
-      with_transport = true;
-    }
+  bench::Cli cli{
+      "session_qoe — 20 s of play under MoVR and every baseline, replaying\n"
+      "the same motion and blockage script under each link strategy"};
+  cli.flag("--transport", with_transport,
+           "run the frame transport and print its counters")
+      .flag("--control-faults", with_control_faults,
+            "partition MoVR's control plane for 1.5 s mid-session")
+      .flag("--burst-loss", with_burst_loss,
+            "seeded burst loss, adaptive FEC/ARQ (implies --transport)")
+      .flag("--json", json_path, "write a machine-readable summary to PATH");
+  if (const auto status = cli.parse(argc, argv)) {
+    return *status;
   }
+  with_transport = with_transport || with_burst_loss;
 
   sim::RngRegistry rngs{3};
   const auto duration = sim::from_seconds(20.0);

@@ -51,13 +51,6 @@ void Room::add_obstacle(Obstacle obstacle) {
   ++revision_;
 }
 
-void Room::clear_obstacles() {
-  if (!obstacles_.empty()) {
-    obstacles_.clear();
-    ++revision_;
-  }
-}
-
 void Room::remove_obstacles(const std::string& label) {
   const auto removed = std::remove_if(
       obstacles_.begin(), obstacles_.end(),

@@ -48,7 +48,6 @@ class Room {
                          SurfaceMaterial material);
 
   void add_obstacle(Obstacle obstacle);
-  void clear_obstacles();
   /// Removes obstacles whose label matches (e.g. drop the "hand" blocker
   /// when the player lowers her arm).
   void remove_obstacles(const std::string& label);

@@ -232,11 +232,6 @@ void ChannelOracle::rebind(const channel::Room& room) {
   seen_revision_ = room.revision();
 }
 
-void ChannelOracle::invalidate() const {
-  const std::scoped_lock lock{mutex_};
-  drop_cache_locked();
-}
-
 ChannelOracle::Stats ChannelOracle::stats() const {
   const std::scoped_lock lock{mutex_};
   return stats_;

@@ -80,15 +80,12 @@ class ChannelOracle {
   /// cache — a different Room object shares no revision history.
   void rebind(const channel::Room& room);
 
-  /// Drops every cached entry (counted in Stats::invalidations).
-  void invalidate() const;
-
   struct Stats {
     std::uint64_t queries{0};
     std::uint64_t hits{0};
     std::uint64_t misses{0};
-    /// Cache drops: revision bumps observed, rebinds, manual invalidations
-    /// and size-cap evictions.
+    /// Cache drops: revision bumps observed, rebinds and size-cap
+    /// evictions.
     std::uint64_t invalidations{0};
     /// Queries answered through query_batch (subset of `queries`).
     std::uint64_t batch_queries{0};

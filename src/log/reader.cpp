@@ -139,15 +139,6 @@ std::int64_t ParsedRecord::field(std::string_view key,
   return fallback;
 }
 
-bool ParsedRecord::has_field(std::string_view key) const {
-  for (const ParsedField& f : fields) {
-    if (f.key == key) {
-      return true;
-    }
-  }
-  return false;
-}
-
 ParsedLog parse_log(std::string_view text) {
   ParsedLog log;
   std::size_t line_no = 0;

@@ -46,7 +46,6 @@ struct ParsedRecord {
   bool is(EventKind k) const { return kind.has_value() && *kind == k; }
   /// Field lookup; `fallback` when absent.
   std::int64_t field(std::string_view key, std::int64_t fallback = 0) const;
-  bool has_field(std::string_view key) const;
 };
 
 struct ParsedLog {

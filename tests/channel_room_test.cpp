@@ -44,8 +44,6 @@ TEST(Room, ObstacleManagement) {
   room.remove_obstacles("person");
   EXPECT_EQ(room.obstacles().size(), 1u);
   EXPECT_EQ(room.obstacles().front().label, "hand");
-  room.clear_obstacles();
-  EXPECT_TRUE(room.obstacles().empty());
 }
 
 TEST(Room, SetWallMaterial) {
