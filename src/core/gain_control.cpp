@@ -1,6 +1,7 @@
 #include <core/gain_control.hpp>
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace movr::core {
 
@@ -8,6 +9,10 @@ GainController::Result GainController::run(hw::ReflectorFrontEnd& front_end,
                                            rf::DbmPower input,
                                            std::mt19937_64& rng,
                                            const Config& config) {
+  if (config.code_step == 0) {
+    // The code would never leave 0: no knee shows and the ramp never ends.
+    throw std::invalid_argument{"GainController: code_step must be > 0"};
+  }
   Result result;
   const std::uint32_t max_code = front_end.max_gain_code();
   const auto step_cost =

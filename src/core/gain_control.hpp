@@ -54,6 +54,7 @@ class GainController {
 
   /// Runs the ramp on `front_end` while the AP drives it with `input` at
   /// the RX connector. Leaves the front end configured at the chosen code.
+  /// Throws std::invalid_argument when `config.code_step` is 0.
   static Result run(hw::ReflectorFrontEnd& front_end, rf::DbmPower input,
                     std::mt19937_64& rng, const Config& config);
 

@@ -49,8 +49,9 @@ class PlacementPlanner {
     unsigned threads{0};
   };
 
-  PlacementPlanner(const Config& config, std::uint64_t seed)
-      : config_{config}, seed_{seed} {}
+  /// Throws std::invalid_argument unless `trials` >= 1, `mount_spacing_m`
+  /// is finite and > 0, and `corner_margin_m` is finite and >= 0.
+  PlacementPlanner(const Config& config, std::uint64_t seed);
 
   /// Candidate mounts along the walls of `room` (excluding the AP's wall
   /// neighbourhood — a reflector next to the AP adds nothing).
@@ -64,9 +65,12 @@ class PlacementPlanner {
   Config config_;
   std::uint64_t seed_;
 
-  /// Outage fraction for a given set of mounts.
-  double evaluate(const channel::Room& room, geom::Vec2 ap_position,
-                  const std::vector<PlacementCandidate>& mounts) const;
+  /// One greedy round: outage counts over `trials` blockage events for
+  /// `chosen` plus each entry of `open` (nullptr adds no mount).
+  std::vector<int> score_round(
+      const channel::Room& room, geom::Vec2 ap_position,
+      const std::vector<PlacementCandidate>& chosen,
+      const std::vector<const PlacementCandidate*>& open) const;
 };
 
 }  // namespace movr::core

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include <geom/angle.hpp>
 #include <hw/stability.hpp>
 
@@ -30,6 +32,15 @@ TEST(GainControl, FinalGainBelowIsolation) {
   const auto result = GainController::run(fe, DbmPower{-50.0}, rng);
   const auto state = fe.process(DbmPower{-50.0});
   EXPECT_LT(result.final_gain.value(), state.isolation.value());
+}
+
+TEST(GainControl, RejectsZeroCodeStep) {
+  hw::ReflectorFrontEnd fe;
+  std::mt19937_64 rng{1};
+  GainController::Config config;
+  config.code_step = 0;
+  EXPECT_THROW(GainController::run(fe, DbmPower{-50.0}, rng, config),
+               std::invalid_argument);
 }
 
 TEST(GainControl, TraceIsRampUpward) {

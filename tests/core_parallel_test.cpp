@@ -6,17 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include <channel/path_batch.hpp>
 #include <core/coverage.hpp>
 #include <core/gain_control.hpp>
 #include <core/placement.hpp>
 #include <core/scene.hpp>
 #include <geom/angle.hpp>
+#include <sim/rng.hpp>
 
 namespace movr::core {
 namespace {
@@ -140,6 +143,171 @@ TEST(ParallelPlacement, PlanIdenticalForEveryThreadCount) {
     ASSERT_EQ(parallel.outage_curve.size(), serial.outage_curve.size());
     for (std::size_t i = 0; i < serial.outage_curve.size(); ++i) {
       EXPECT_EQ(parallel.outage_curve[i], serial.outage_curve[i]);
+    }
+  }
+}
+
+// The planner before each greedy round became one pass over trials: every
+// candidate set is scored from scratch, each trial recalibrating every
+// mount. The evaluation body and the greedy loop are that implementation's,
+// verbatim, with the planner's config and seed as parameters.
+double reference_outage(const PlacementPlanner::Config& config,
+                        std::uint64_t seed, const channel::Room& room,
+                        geom::Vec2 ap_position,
+                        const std::vector<PlacementCandidate>& mounts) {
+  // Every trial draws from its own (seed, trial) RNG stream: trials are
+  // independent, so the evaluation parallelises over trials and the outage
+  // estimate is identical for every thread count.
+  const sim::RngRegistry rngs{seed};
+  std::atomic<int> outages{0};
+  parallel_for(
+      static_cast<std::size_t>(config.trials), config.threads,
+      [&](std::size_t begin, std::size_t end) {
+        int local_outages = 0;
+        // Prefetch batches, reused (capacity kept) across this worker's
+        // trials.
+        channel::EndpointBatch calibration_batch;
+        channel::EndpointBatch read_batch;
+        for (std::size_t trial = begin; trial < end; ++trial) {
+          std::mt19937_64 rng = rngs.stream("placement-trial", trial);
+          Scene scene{channel::Room{room}, ApRadio{ap_position, 0.0},
+                      HeadsetRadio{{room.width() / 2.0, room.depth() / 2.0},
+                                   0.0}};
+          std::vector<MovrReflector*> reflectors;
+          for (const PlacementCandidate& mount : mounts) {
+            reflectors.push_back(
+                &scene.add_reflector(mount.position, mount.orientation));
+          }
+          const geom::Vec2 pos = scene.room().random_interior_point(rng, 0.8);
+          scene.headset().node().set_position(pos);
+          scene.ap().node().set_orientation((pos - ap_position).heading());
+
+          // One batched solve covers every calibration read below: the
+          // gain controller re-reads reflector_input per step, but the
+          // AP->reflector pairs are fixed until the obstacle lands.
+          calibration_batch.clear();
+          for (const auto* r : reflectors) {
+            calibration_batch.push(ap_position, r->position());
+          }
+          scene.prefetch_paths(calibration_batch);
+          for (auto* r : reflectors) {
+            r->front_end().steer_rx(scene.true_reflector_angle_to_ap(*r));
+            r->front_end().steer_tx(
+                scene.true_reflector_angle_to_headset(*r));
+            scene.ap().node().steer_toward(r->position());
+            GainController::run(r->front_end(), scene.reflector_input(*r),
+                                rng);
+          }
+
+          const geom::Vec2 ap = scene.ap().node().position();
+          std::uniform_int_distribution<int> kind{0, 2};
+          switch (kind(rng)) {
+            case 0:
+              scene.room().add_obstacle(channel::make_hand(pos, ap - pos));
+              break;
+            case 1:
+              scene.room().add_obstacle(channel::make_head(pos, ap - pos));
+              break;
+            default:
+              scene.room().add_obstacle(channel::make_person(
+                  pos +
+                  (ap - pos).normalized() *
+                      std::uniform_real_distribution<double>{0.6, 2.0}(rng)));
+          }
+
+          // The obstacle bumped the room revision and emptied the cache;
+          // one batched solve repopulates it for every SNR read below.
+          read_batch.clear();
+          read_batch.push(ap, pos);
+          for (const auto* r : reflectors) {
+            read_batch.push(ap, r->position());
+            read_batch.push(r->position(), pos);
+          }
+          scene.prefetch_paths(read_batch);
+
+          scene.ap().node().steer_toward(pos);
+          scene.headset().node().face_toward(ap);
+          double best = scene.direct_snr().value();
+          for (auto* r : reflectors) {
+            scene.ap().node().steer_toward(r->position());
+            scene.headset().node().face_toward(r->position());
+            r->front_end().steer_tx(
+                scene.true_reflector_angle_to_headset(*r));
+            best = std::max(best, scene.via_snr(*r).snr.value());
+          }
+          local_outages += best < config.required_snr.value();
+        }
+        outages += local_outages;
+      });
+  return static_cast<double>(outages.load()) / config.trials;
+}
+
+PlacementPlan reference_plan(const PlacementPlanner::Config& config,
+                             std::uint64_t seed, const channel::Room& room,
+                             geom::Vec2 ap_position) {
+  PlacementPlan result;
+  const auto all =
+      PlacementPlanner{config, seed}.candidates(room, ap_position);
+  result.outage_curve.push_back(
+      reference_outage(config, seed, room, ap_position, {}));
+
+  std::vector<PlacementCandidate> chosen;
+  while (static_cast<int>(chosen.size()) < config.max_reflectors &&
+         result.outage_curve.back() > config.target_outage) {
+    double best_outage = result.outage_curve.back();
+    const PlacementCandidate* best_candidate = nullptr;
+    for (const PlacementCandidate& candidate : all) {
+      const bool already = std::any_of(
+          chosen.begin(), chosen.end(), [&](const PlacementCandidate& c) {
+            return geom::distance(c.position, candidate.position) < 1e-6;
+          });
+      if (already) {
+        continue;
+      }
+      auto trial_set = chosen;
+      trial_set.push_back(candidate);
+      const double outage =
+          reference_outage(config, seed, room, ap_position, trial_set);
+      if (outage < best_outage) {
+        best_outage = outage;
+        best_candidate = &candidate;
+      }
+    }
+    if (best_candidate == nullptr) {
+      break;  // no candidate improves coverage
+    }
+    chosen.push_back(*best_candidate);
+    result.outage_curve.push_back(best_outage);
+  }
+  result.chosen = std::move(chosen);
+  return result;
+}
+
+TEST(ParallelPlacement, RoundScoringMatchesPerCandidateReference) {
+  PlacementPlanner::Config config;
+  config.trials = 40;
+  config.mount_spacing_m = 1.6;
+  config.max_reflectors = 3;
+  config.target_outage = 0.0;
+  // A stricter bar than the default keeps both rooms above zero outage
+  // until the third round.
+  config.required_snr = rf::Decibels{25.0};
+  const geom::Vec2 ap{0.4, 0.4};
+  for (const channel::Room& room :
+       {channel::Room::paper_office(), channel::Room{5.0, 5.0}}) {
+    config.threads = 1;
+    const PlacementPlan expected = reference_plan(config, 1, room, ap);
+    // Three mounts: the last round scores against a two-mount prefix.
+    ASSERT_EQ(expected.chosen.size(), 3u);
+    for (const unsigned threads : {1u, 4u}) {
+      config.threads = threads;
+      const PlacementPlan plan = PlacementPlanner{config, 1}.plan(room, ap);
+      ASSERT_EQ(plan.chosen.size(), expected.chosen.size());
+      for (std::size_t i = 0; i < plan.chosen.size(); ++i) {
+        EXPECT_EQ(plan.chosen[i].position, expected.chosen[i].position);
+        EXPECT_EQ(plan.chosen[i].orientation, expected.chosen[i].orientation);
+      }
+      EXPECT_EQ(plan.outage_curve, expected.outage_curve);
     }
   }
 }

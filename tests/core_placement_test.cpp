@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include <geom/angle.hpp>
 
 namespace movr::core {
@@ -13,6 +16,37 @@ PlacementPlanner::Config fast_config() {
   config.mount_spacing_m = 1.6;
   config.max_reflectors = 2;
   return config;
+}
+
+TEST(Placement, RejectsBadConfig) {
+  // trials <= 0 planned a NaN outage or hung, and a spacing <= 0 never
+  // finished candidates(); non-finite values and a negative margin are
+  // out of range too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int trials : {0, -1}) {
+    PlacementPlanner::Config config = fast_config();
+    config.trials = trials;
+    EXPECT_THROW((PlacementPlanner{config, 1}), std::invalid_argument)
+        << "trials " << trials;
+  }
+  for (const double spacing : {0.0, -1.0, nan, inf}) {
+    PlacementPlanner::Config config = fast_config();
+    config.mount_spacing_m = spacing;
+    EXPECT_THROW((PlacementPlanner{config, 1}), std::invalid_argument)
+        << "mount_spacing_m " << spacing;
+  }
+  for (const double margin : {-0.1, nan, inf}) {
+    PlacementPlanner::Config config = fast_config();
+    config.corner_margin_m = margin;
+    EXPECT_THROW((PlacementPlanner{config, 1}), std::invalid_argument)
+        << "corner_margin_m " << margin;
+  }
+  // The boundary values stay legal.
+  PlacementPlanner::Config edge = fast_config();
+  edge.trials = 1;
+  edge.corner_margin_m = 0.0;
+  EXPECT_NO_THROW((PlacementPlanner{edge, 1}));
 }
 
 TEST(Placement, CandidatesLineTheWalls) {
