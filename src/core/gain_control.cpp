@@ -13,6 +13,12 @@ GainController::Result GainController::run(hw::ReflectorFrontEnd& front_end,
     // The code would never leave 0: no knee shows and the ramp never ends.
     throw std::invalid_argument{"GainController: code_step must be > 0"};
   }
+  if (config.samples_per_step < 1) {
+    // The sensor would still take one conversion per step, while the
+    // duration below would charge zero or negative sampling time.
+    throw std::invalid_argument{
+        "GainController: samples_per_step must be >= 1"};
+  }
   Result result;
   const std::uint32_t max_code = front_end.max_gain_code();
   const auto step_cost =

@@ -54,7 +54,8 @@ class GainController {
 
   /// Runs the ramp on `front_end` while the AP drives it with `input` at
   /// the RX connector. Leaves the front end configured at the chosen code.
-  /// Throws std::invalid_argument when `config.code_step` is 0.
+  /// Throws std::invalid_argument when `config.code_step` is 0 or
+  /// `config.samples_per_step` is < 1.
   static Result run(hw::ReflectorFrontEnd& front_end, rf::DbmPower input,
                     std::mt19937_64& rng, const Config& config);
 

@@ -67,106 +67,125 @@ std::vector<PlacementCandidate> PlacementPlanner::candidates(
   return result;
 }
 
+namespace {
+
+/// The trial's blockage event: its kind, then, for a person, the distance
+/// along the headset->AP line.
+channel::Obstacle draw_blockage(geom::Vec2 pos, geom::Vec2 ap,
+                                std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> kind{0, 2};
+  switch (kind(rng)) {
+    case 0:
+      return channel::make_hand(pos, ap - pos);
+    case 1:
+      return channel::make_head(pos, ap - pos);
+    default:
+      return channel::make_person(
+          pos + (ap - pos).normalized() *
+                    std::uniform_real_distribution<double>{0.6, 2.0}(rng));
+  }
+}
+
+}  // namespace
+
 std::vector<int> PlacementPlanner::score_round(
     const channel::Room& room, geom::Vec2 ap_position,
     const std::vector<PlacementCandidate>& chosen,
     const std::vector<const PlacementCandidate*>& open) const {
   // Every trial draws from its own (seed, trial) RNG stream in one order:
-  // headset position, the chosen mounts' ramps, the scored mount's ramp,
-  // the blockage event. A ramp reads only the headset position, its own
-  // mount, the obstacle-free AP->mount paths and the RNG, so continuing
-  // each candidate from a clone of the calibrated prefix and a copy of its
-  // RNG is exactly a from-scratch evaluation of chosen + candidate. Trials
-  // are independent: counts are identical for every thread count.
+  // headset position, blockage event, the chosen mounts' ramps, then the
+  // scored mount's ramp on a copy of the RNG. A ramp reads only the headset
+  // position, its own mount, the obstacle-free AP->mount paths and the RNG,
+  // and reflectors are not room obstacles. So every candidate meets the
+  // trial's one event, the chosen mounts score the same for all of them,
+  // and max(prefix score, candidate's via SNR) is exactly a from-scratch
+  // evaluation of chosen + candidate. Trials are independent: counts are
+  // identical for every thread count.
   const sim::RngRegistry rngs{seed_};
   std::mutex mutex;
   std::vector<std::vector<int>> partials;  // one per worker
   parallel_for(
       static_cast<std::size_t>(config_.trials), config_.threads,
       [&](std::size_t begin, std::size_t end) {
-        std::vector<int> local(open.size(), 0);
+        std::vector<int> local(open.size() + 1, 0);
+        // The obstacle-free room is the same in every trial, so one scene
+        // per worker serves every ramp, and its oracle keeps the AP->mount
+        // paths across trials. So do the mounts: the chosen ones first,
+        // then one per open candidate. Each ramp re-steers both arrays and
+        // starts from gain code 0, so a mount carries nothing between
+        // trials.
+        Scene clear{channel::Room{room}, ApRadio{ap_position, 0.0},
+                    HeadsetRadio{{room.width() / 2.0, room.depth() / 2.0},
+                                 0.0}};
+        std::vector<MovrReflector> mounts;
+        mounts.reserve(chosen.size() + open.size());
+        for (const PlacementCandidate& mount : chosen) {
+          mounts.emplace_back(mount.position, mount.orientation);
+        }
+        for (const PlacementCandidate* mount : open) {
+          mounts.emplace_back(mount->position, mount->orientation);
+        }
         channel::EndpointBatch batch;  // capacity kept across trials
-        // Calibrates the reflectors from index `first` on, in order. One
-        // batched solve serves every ramp step's reflector_input read: the
-        // AP->reflector pairs are fixed until the obstacle lands.
-        const auto calibrate = [&](Scene& scene, std::size_t first,
-                                   std::mt19937_64& rng) {
-          batch.clear();
-          for (std::size_t i = first; i < scene.reflector_count(); ++i) {
-            batch.push(ap_position, scene.reflector(i).position());
-          }
-          scene.prefetch_paths(batch);
-          for (std::size_t i = first; i < scene.reflector_count(); ++i) {
-            MovrReflector& r = scene.reflector(i);
-            r.front_end().steer_rx(scene.true_reflector_angle_to_ap(r));
-            r.front_end().steer_tx(scene.true_reflector_angle_to_headset(r));
-            scene.ap().node().steer_toward(r.position());
-            GainController::run(r.front_end(), scene.reflector_input(r), rng);
-          }
+        for (const MovrReflector& r : mounts) {
+          batch.push(ap_position, r.position());
+        }
+        clear.prefetch_paths(batch);
+
+        const auto calibrate = [&](MovrReflector& r, std::mt19937_64& rng) {
+          r.front_end().steer_rx(clear.true_reflector_angle_to_ap(r));
+          r.front_end().steer_tx(clear.true_reflector_angle_to_headset(r));
+          clear.ap().node().steer_toward(r.position());
+          GainController::run(r.front_end(), clear.reflector_input(r), rng);
         };
+        const auto via_snr = [](Scene& scene, MovrReflector& r) {
+          scene.ap().node().steer_toward(r.position());
+          scene.headset().node().face_toward(r.position());
+          r.front_end().steer_tx(scene.true_reflector_angle_to_headset(r));
+          return scene.via_snr(r).snr.value();
+        };
+        const double required = config_.required_snr.value();
         for (std::size_t trial = begin; trial < end; ++trial) {
           std::mt19937_64 rng = rngs.stream("placement-trial", trial);
-          Scene prefix{channel::Room{room}, ApRadio{ap_position, 0.0},
-                       HeadsetRadio{{room.width() / 2.0, room.depth() / 2.0},
-                                    0.0}};
-          for (const PlacementCandidate& mount : chosen) {
-            prefix.add_reflector(mount.position, mount.orientation);
+          const geom::Vec2 pos = clear.room().random_interior_point(rng, 0.8);
+          clear.headset().node().set_position(pos);
+          clear.ap().node().set_orientation((pos - ap_position).heading());
+          const channel::Obstacle blocker =
+              draw_blockage(pos, ap_position, rng);
+          for (std::size_t i = 0; i < chosen.size(); ++i) {
+            calibrate(mounts[i], rng);
           }
-          const geom::Vec2 pos = prefix.room().random_interior_point(rng, 0.8);
-          prefix.headset().node().set_position(pos);
-          prefix.ap().node().set_orientation((pos - ap_position).heading());
-          calibrate(prefix, 0, rng);
 
+          // The obstacle empties the blocked clone's cache; one batched
+          // solve fills it for every SNR read of the trial.
+          Scene blocked = clear.clone();
+          blocked.room().add_obstacle(blocker);
+          batch.clear();
+          batch.push(ap_position, pos);
+          for (const MovrReflector& r : mounts) {
+            batch.push(ap_position, r.position());
+            batch.push(r.position(), pos);
+          }
+          blocked.prefetch_paths(batch);
+
+          blocked.ap().node().steer_toward(pos);
+          blocked.headset().node().face_toward(ap_position);
+          double prefix = blocked.direct_snr().value();
+          for (std::size_t i = 0; i < chosen.size(); ++i) {
+            prefix = std::max(prefix, via_snr(blocked, mounts[i]));
+          }
+          local[0] += prefix < required;
           for (std::size_t c = 0; c < open.size(); ++c) {
-            Scene scene = prefix.clone();
-            std::mt19937_64 scored_rng = rng;
-            if (open[c] != nullptr) {
-              scene.add_reflector(open[c]->position, open[c]->orientation);
-              calibrate(scene, chosen.size(), scored_rng);
-            }
-
-            const geom::Vec2 ap = scene.ap().node().position();
-            std::uniform_int_distribution<int> kind{0, 2};
-            std::uniform_real_distribution<double> offset{0.6, 2.0};
-            switch (kind(scored_rng)) {
-              case 0:
-                scene.room().add_obstacle(channel::make_hand(pos, ap - pos));
-                break;
-              case 1:
-                scene.room().add_obstacle(channel::make_head(pos, ap - pos));
-                break;
-              default:
-                scene.room().add_obstacle(channel::make_person(
-                    pos + (ap - pos).normalized() * offset(scored_rng)));
-            }
-
-            // The obstacle bumped the room revision and emptied the cache;
-            // one batched solve repopulates it for every SNR read below.
-            batch.clear();
-            batch.push(ap, pos);
-            for (std::size_t i = 0; i < scene.reflector_count(); ++i) {
-              batch.push(ap, scene.reflector(i).position());
-              batch.push(scene.reflector(i).position(), pos);
-            }
-            scene.prefetch_paths(batch);
-
-            scene.ap().node().steer_toward(pos);
-            scene.headset().node().face_toward(ap);
-            double best = scene.direct_snr().value();
-            for (std::size_t i = 0; i < scene.reflector_count(); ++i) {
-              MovrReflector& r = scene.reflector(i);
-              scene.ap().node().steer_toward(r.position());
-              scene.headset().node().face_toward(r.position());
-              r.front_end().steer_tx(scene.true_reflector_angle_to_headset(r));
-              best = std::max(best, scene.via_snr(r).snr.value());
-            }
-            local[c] += best < config_.required_snr.value();
+            MovrReflector& mount = mounts[chosen.size() + c];
+            std::mt19937_64 mount_rng = rng;
+            calibrate(mount, mount_rng);
+            local[c + 1] +=
+                std::max(prefix, via_snr(blocked, mount)) < required;
           }
         }
         const std::scoped_lock lock{mutex};
         partials.push_back(std::move(local));
       });
-  std::vector<int> outages(open.size(), 0);
+  std::vector<int> outages(open.size() + 1, 0);
   for (const std::vector<int>& partial : partials) {
     std::transform(partial.begin(), partial.end(), outages.begin(),
                    outages.begin(), std::plus<>{});
@@ -179,7 +198,7 @@ PlacementPlan PlacementPlanner::plan(const channel::Room& room,
   PlacementPlan result;
   const auto all = candidates(room, ap_position);
   result.outage_curve.push_back(
-      static_cast<double>(score_round(room, ap_position, {}, {nullptr})[0]) /
+      static_cast<double>(score_round(room, ap_position, {}, {})[0]) /
       config_.trials);
 
   std::vector<PlacementCandidate> chosen;
@@ -199,7 +218,8 @@ PlacementPlan PlacementPlanner::plan(const channel::Room& room,
     double best_outage = result.outage_curve.back();
     const PlacementCandidate* best_candidate = nullptr;
     for (std::size_t i = 0; i < open.size(); ++i) {
-      const double outage = static_cast<double>(outages[i]) / config_.trials;
+      const double outage =
+          static_cast<double>(outages[i + 1]) / config_.trials;
       if (outage < best_outage) {
         best_outage = outage;
         best_candidate = open[i];

@@ -65,8 +65,8 @@ class PlacementPlanner {
   Config config_;
   std::uint64_t seed_;
 
-  /// One greedy round: outage counts over `trials` blockage events for
-  /// `chosen` plus each entry of `open` (nullptr adds no mount).
+  /// One greedy round: outage counts over `trials` blockage events, first
+  /// for `chosen` alone, then for `chosen` plus each entry of `open`.
   std::vector<int> score_round(
       const channel::Room& room, geom::Vec2 ap_position,
       const std::vector<PlacementCandidate>& chosen,

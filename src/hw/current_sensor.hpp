@@ -18,15 +18,16 @@ class CurrentSensor {
   };
 
   CurrentSensor() : CurrentSensor(Config{}) {}
-  explicit CurrentSensor(const Config& config) : config_{config} {}
+  /// Throws std::invalid_argument unless `full_scale_a` is finite and > 0.
+  explicit CurrentSensor(const Config& config);
 
   const Config& config() const { return config_; }
 
-  /// One ADC reading of `true_current_a` amps.
-  double read(double true_current_a, std::mt19937_64& rng) const;
-
-  /// Averaged reading over `samples` conversions (the controller averages
-  /// a few samples per gain step to suppress noise).
+  /// Averaged reading of `true_current_a` amps over `samples` ADC
+  /// conversions (at least one; the controller averages a few per gain
+  /// step to suppress noise). The conversions' noise variates come from
+  /// one normal distribution per call, so libstdc++'s polar method serves
+  /// two conversions from each pair it generates.
   double read_averaged(double true_current_a, int samples,
                        std::mt19937_64& rng) const;
 

@@ -43,6 +43,18 @@ TEST(GainControl, RejectsZeroCodeStep) {
                std::invalid_argument);
 }
 
+TEST(GainControl, RejectsNonPositiveSamplesPerStep) {
+  for (const int samples : {0, -1}) {
+    hw::ReflectorFrontEnd fe;
+    std::mt19937_64 rng{1};
+    GainController::Config config;
+    config.samples_per_step = samples;
+    EXPECT_THROW(GainController::run(fe, DbmPower{-50.0}, rng, config),
+                 std::invalid_argument)
+        << samples;
+  }
+}
+
 TEST(GainControl, TraceIsRampUpward) {
   hw::ReflectorFrontEnd fe;
   std::mt19937_64 rng{3};

@@ -150,7 +150,9 @@ TEST(ParallelPlacement, PlanIdenticalForEveryThreadCount) {
 // The planner before each greedy round became one pass over trials: every
 // candidate set is scored from scratch, each trial recalibrating every
 // mount. The evaluation body and the greedy loop are that implementation's,
-// verbatim, with the planner's config and seed as parameters.
+// with the planner's config and seed as parameters, and with its draw order
+// moved to the planner's: headset position, blockage event, every ramp, and
+// only then the obstacle added.
 double reference_outage(const PlacementPlanner::Config& config,
                         std::uint64_t seed, const channel::Room& room,
                         geom::Vec2 ap_position,
@@ -182,6 +184,25 @@ double reference_outage(const PlacementPlanner::Config& config,
           scene.headset().node().set_position(pos);
           scene.ap().node().set_orientation((pos - ap_position).heading());
 
+          // The blockage event is drawn before any ramp, so how many draws
+          // a ramp takes cannot change it.
+          const geom::Vec2 ap = scene.ap().node().position();
+          channel::Obstacle blocker;
+          std::uniform_int_distribution<int> kind{0, 2};
+          switch (kind(rng)) {
+            case 0:
+              blocker = channel::make_hand(pos, ap - pos);
+              break;
+            case 1:
+              blocker = channel::make_head(pos, ap - pos);
+              break;
+            default:
+              blocker = channel::make_person(
+                  pos +
+                  (ap - pos).normalized() *
+                      std::uniform_real_distribution<double>{0.6, 2.0}(rng));
+          }
+
           // One batched solve covers every calibration read below: the
           // gain controller re-reads reflector_input per step, but the
           // AP->reflector pairs are fixed until the obstacle lands.
@@ -199,21 +220,7 @@ double reference_outage(const PlacementPlanner::Config& config,
                                 rng);
           }
 
-          const geom::Vec2 ap = scene.ap().node().position();
-          std::uniform_int_distribution<int> kind{0, 2};
-          switch (kind(rng)) {
-            case 0:
-              scene.room().add_obstacle(channel::make_hand(pos, ap - pos));
-              break;
-            case 1:
-              scene.room().add_obstacle(channel::make_head(pos, ap - pos));
-              break;
-            default:
-              scene.room().add_obstacle(channel::make_person(
-                  pos +
-                  (ap - pos).normalized() *
-                      std::uniform_real_distribution<double>{0.6, 2.0}(rng)));
-          }
+          scene.room().add_obstacle(blocker);
 
           // The obstacle bumped the room revision and emptied the cache;
           // one batched solve repopulates it for every SNR read below.

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
+#include <stdexcept>
+
 #include <hw/current_sensor.hpp>
 #include <hw/dac.hpp>
 
@@ -63,7 +69,17 @@ TEST(CurrentSensor, NoiselessConfigIsExact) {
   config.quantization_a = 0.0;
   const CurrentSensor sensor{config};
   std::mt19937_64 rng{1};
-  EXPECT_DOUBLE_EQ(sensor.read(0.42, rng), 0.42);
+  EXPECT_DOUBLE_EQ(sensor.read_averaged(0.42, 1, rng), 0.42);
+}
+
+TEST(CurrentSensor, RejectsBadConfig) {
+  for (const double full_scale :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    CurrentSensor::Config config;
+    config.full_scale_a = full_scale;
+    EXPECT_THROW(CurrentSensor{config}, std::invalid_argument) << full_scale;
+  }
 }
 
 TEST(CurrentSensor, QuantizesToLsb) {
@@ -72,15 +88,15 @@ TEST(CurrentSensor, QuantizesToLsb) {
   config.quantization_a = 0.001;
   const CurrentSensor sensor{config};
   std::mt19937_64 rng{1};
-  EXPECT_DOUBLE_EQ(sensor.read(0.35042, rng), 0.350);
-  EXPECT_DOUBLE_EQ(sensor.read(0.35062, rng), 0.351);
+  EXPECT_DOUBLE_EQ(sensor.read_averaged(0.35042, 1, rng), 0.350);
+  EXPECT_DOUBLE_EQ(sensor.read_averaged(0.35062, 1, rng), 0.351);
 }
 
 TEST(CurrentSensor, ClampsToFullScale) {
   const CurrentSensor sensor;
   std::mt19937_64 rng{1};
-  EXPECT_LE(sensor.read(100.0, rng), sensor.config().full_scale_a);
-  EXPECT_GE(sensor.read(-5.0, rng), 0.0);
+  EXPECT_LE(sensor.read_averaged(100.0, 1, rng), sensor.config().full_scale_a);
+  EXPECT_GE(sensor.read_averaged(-5.0, 1, rng), 0.0);
 }
 
 TEST(CurrentSensor, AveragingReducesNoise) {
@@ -90,12 +106,31 @@ TEST(CurrentSensor, AveragingReducesNoise) {
   double sq16 = 0.0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
-    const double e1 = sensor.read(0.4, rng) - 0.4;
+    const double e1 = sensor.read_averaged(0.4, 1, rng) - 0.4;
     const double e16 = sensor.read_averaged(0.4, 16, rng) - 0.4;
     sq1 += e1 * e1;
     sq16 += e16 * e16;
   }
   EXPECT_GT(sq1 / sq16, 5.0);
+}
+
+TEST(CurrentSensor, AveragedReadingDrawsVariatePairs) {
+  // One reading's conversions take their noise from one distribution, as
+  // consecutive variates of it. A distribution per conversion would throw
+  // away the second variate of every pair and leave the engine elsewhere.
+  const CurrentSensor sensor;
+  const CurrentSensor::Config& config = sensor.config();
+  std::mt19937_64 rng{5};
+  std::mt19937_64 reference_rng{5};
+  std::normal_distribution<double> noise{0.0, config.noise_sigma_a};
+  double sum = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    const double reading =
+        std::clamp(0.4 + noise(reference_rng), 0.0, config.full_scale_a);
+    sum += std::round(reading / config.quantization_a) * config.quantization_a;
+  }
+  EXPECT_EQ(sensor.read_averaged(0.4, 8, rng), sum / 8);
+  EXPECT_TRUE(rng == reference_rng);
 }
 
 TEST(CurrentSensor, AverageUnbiased) {
