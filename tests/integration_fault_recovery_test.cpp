@@ -106,6 +106,71 @@ TEST(FaultRecovery, WatchdogBoundsReflectionSearch) {
   EXPECT_EQ(result.duration, config.watchdog);
 }
 
+// Both alignment phases end the same way: under a total brownout each gives
+// up exactly once, on the unacked-command abort well before a long
+// watchdog, or, with the abort disabled, on the watchdog itself.
+template <class Search>
+class SearchTermination : public ::testing::Test {
+ protected:
+  struct Ending {
+    int callbacks{0};
+    bool completed{true};
+    std::string reason;
+    sim::Duration duration{0};
+  };
+
+  static Ending run_under_brownout(sim::Duration watchdog,
+                                   int abort_after_failed_commands) {
+    Scene scene = make_scene();
+    auto& reflector = scene.add_reflector({3.4, 4.8}, deg_to_rad(262.0));
+    sim::Simulator simulator;
+    sim::ControlChannel control{simulator, {}, std::mt19937_64{3}};
+    control.attach(reflector.control_name(),
+                   [&](const sim::ControlMessage& m) { reflector.handle(m); });
+    sim::FaultInjector injector{simulator};
+    injector.inject_control_brownout(control, sim::TimePoint{0}, 60s,
+                                     /*extra_loss=*/1.0,
+                                     /*extra_latency=*/sim::Duration::zero());
+
+    auto config = core::make_search_config(1.0);
+    config.watchdog = watchdog;
+    config.abort_after_failed_commands = abort_after_failed_commands;
+    Ending ending;
+    Search search{simulator, control, scene, reflector, config,
+                  std::mt19937_64{5}};
+    search.start([&](const auto& result) {
+      ++ending.callbacks;
+      ending.completed = result.completed;
+      ending.reason = result.failure_reason;
+      ending.duration = result.duration;
+    });
+    simulator.run();
+    return ending;
+  }
+};
+
+using AlignmentPhases =
+    ::testing::Types<core::IncidenceSearch, core::ReflectionSearch>;
+TYPED_TEST_SUITE(SearchTermination, AlignmentPhases);
+
+TYPED_TEST(SearchTermination, TotalBrownoutAbortsOnceBeforeTheWatchdog) {
+  const sim::Duration watchdog = 30s;
+  const auto ending = this->run_under_brownout(watchdog, 5);
+  EXPECT_EQ(ending.callbacks, 1);
+  EXPECT_FALSE(ending.completed);
+  EXPECT_NE(ending.reason.find("control channel"), std::string::npos);
+  EXPECT_LT(ending.duration, watchdog);
+}
+
+TYPED_TEST(SearchTermination, WithoutTheAbortTheWatchdogEndsIt) {
+  const sim::Duration watchdog = 150ms;
+  const auto ending = this->run_under_brownout(watchdog, 1 << 30);
+  EXPECT_EQ(ending.callbacks, 1);
+  EXPECT_FALSE(ending.completed);
+  EXPECT_NE(ending.reason.find("watchdog"), std::string::npos);
+  EXPECT_EQ(ending.duration, watchdog);
+}
+
 TEST(FaultRecovery, HandoverTimeoutQuarantinesTargetAndDegrades) {
   Scene scene = make_scene();
   auto& reflector = scene.add_reflector({4.6, 4.6}, deg_to_rad(225.0));
