@@ -88,16 +88,15 @@ int main() {
                geom::distance(pos, reflector.position()) < 1.2 ||
                geom::distance(pos, scene.ap().node().position()) < 1.2);
 
-      bench::steer_direct(scene);
+      scene.aim_direct();
       los_v.push_back(scene.direct_snr().value());
 
       scene.room().add_obstacle(channel::make_hand(
           pos, scene.ap().node().position() - pos));
       hand_v.push_back(scene.direct_snr().value());
 
-      bench::calibrate_reflector(scene, reflector, rng);
-      scene.headset().node().face_toward(reflector.position());
-      reflector.front_end().steer_tx(local);
+      scene.calibrate_reflector(reflector, rng);
+      scene.aim_via(reflector);
       movr_v.push_back(scene.via_snr(reflector).snr.value());
     }
     std::printf("%-38s %7.1f dB %9.1f dB %9.1f dB %9.1f deg\n", run.label,

@@ -66,8 +66,7 @@ int main() {
       reflector.front_end().steer_rx(
           scene.true_reflector_angle_to_ap(reflector));
       reflector.front_end().steer_tx(local);
-      scene.ap().node().steer_toward(reflector.position());
-      scene.headset().node().face_toward(reflector.position());
+      scene.aim_via(reflector);
 
       if (policy.adaptive) {
         core::GainController::run(reflector.front_end(),

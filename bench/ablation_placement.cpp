@@ -62,7 +62,7 @@ int main() {
       const geom::Vec2 pos = scene.room().random_interior_point(rng, 0.8);
       scene.headset().node().set_position(pos);
       for (auto* r : reflectors) {
-        bench::calibrate_reflector(scene, *r, rng);
+        scene.calibrate_reflector(*r, rng);
       }
 
       // A random blockage: hand, head, or passer-by.
@@ -82,11 +82,10 @@ int main() {
       }
 
       // Best available link: direct, or via any reflector.
-      bench::steer_direct(scene);
+      scene.aim_direct();
       double best = scene.direct_snr().value();
       for (auto* r : reflectors) {
-        scene.ap().node().steer_toward(r->position());
-        scene.headset().node().face_toward(r->position());
+        scene.aim_via(*r);
         r->front_end().steer_tx(scene.true_reflector_angle_to_headset(*r));
         best = std::max(best, scene.via_snr(*r).snr.value());
       }

@@ -47,7 +47,7 @@ int main() {
     core::Scene qscene{channel::Room{5.0, 5.0},
                        core::ApRadio{{0.4, 0.4}, deg_to_rad(45.0), ap_cfg},
                        core::HeadsetRadio{{3.3, 2.4}, 0.0, hs_cfg}};
-    bench::steer_direct(qscene);
+    qscene.aim_direct();
     const double snr = qscene.direct_snr().value();
 
     std::printf("%-12s %13.2f dB %15.2f dB %11.1f dB\n",

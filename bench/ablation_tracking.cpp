@@ -36,10 +36,10 @@ Outcome run_walk(Tracking mode, std::uint64_t seed, double speed_mps = 0.6) {
   auto scene = bench::paper_scene({2.5, 2.5}, false);
   auto& reflector = scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0));
   auto cal_rng = rngs.stream("cal");
-  bench::calibrate_reflector(scene, reflector, cal_rng);
-  // The link lives on the reflector for the whole session (the direct path
-  // is considered blocked throughout): isolates the tracking question.
-  scene.ap().node().steer_toward(reflector.position());
+  // Calibration leaves the AP's beam on the reflector, where the link lives
+  // for the whole session (the direct path is considered blocked
+  // throughout): isolates the tracking question.
+  scene.calibrate_reflector(reflector, cal_rng);
 
   vr::PlayerMotion::Config motion_config;
   motion_config.speed_mps = speed_mps;

@@ -84,9 +84,8 @@ int main() {
                local < deg_to_rad(40.0) || local > deg_to_rad(140.0));
       scene.room().add_obstacle(channel::make_hand(
           pos, scene.ap().node().position() - pos));
-      bench::calibrate_reflector(scene, reflector, rng);
-      scene.headset().node().face_toward(reflector.position());
-      reflector.front_end().steer_tx(local);
+      scene.calibrate_reflector(reflector, rng);
+      scene.aim_via(reflector);
       const double snr = scene.via_snr(reflector).snr.value();
       snrs.push_back(snr);
       ok += snr >= required_snr;

@@ -31,26 +31,6 @@ inline core::Scene paper_scene(geom::Vec2 headset_pos,
   return core::Scene{std::move(room), std::move(ap), std::move(headset)};
 }
 
-/// Aligns AP and headset for the direct link.
-inline void steer_direct(core::Scene& scene) {
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
-}
-
-/// Calibrates a reflector with ground-truth angles + the gain controller
-/// (fast path used by benches whose subject is NOT the search protocol;
-/// fig8 exercises the real protocol).
-inline void calibrate_reflector(core::Scene& scene,
-                                core::MovrReflector& reflector,
-                                std::mt19937_64& rng) {
-  reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
-  reflector.front_end().steer_tx(
-      scene.true_reflector_angle_to_headset(reflector));
-  scene.ap().node().steer_toward(reflector.position());
-  core::GainController::run(reflector.front_end(),
-                            scene.reflector_input(reflector), rng);
-}
-
 /// One uniform draw from [lo, hi) on a seeded stream.
 inline double uniform(std::mt19937_64& g, double lo, double hi) {
   return std::uniform_real_distribution<double>{lo, hi}(g);

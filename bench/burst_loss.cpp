@@ -68,10 +68,10 @@ bench::ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
 
   auto scene = bench::paper_scene(
       {uniform(chaos, 2.2, 3.2), uniform(chaos, 1.6, 2.6)}, false);
-  bench::steer_direct(scene);
+  scene.aim_direct();
   auto& reflector = scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0));
   auto cal_rng = rngs.stream("cal");
-  bench::calibrate_reflector(scene, reflector, cal_rng);
+  scene.calibrate_reflector(reflector, cal_rng);
 
   sim::Simulator simulator;
   vr::MovrStrategy strategy{simulator, scene, rngs.stream("mgr")};

@@ -84,12 +84,12 @@ SeedResult run_seed(std::uint64_t seed, double duration_s,
   // --- scene: the paper office, headset position varied per seed --------
   auto scene = bench::paper_scene(
       {uniform(chaos, 2.2, 3.2), uniform(chaos, 1.6, 2.6)}, false);
-  bench::steer_direct(scene);
+  scene.aim_direct();
   auto& r0 = scene.add_reflector({4.6, 4.6}, deg_to_rad(225.0));
   auto& r1 = scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0));
   auto cal_rng = rngs.stream("cal");
-  bench::calibrate_reflector(scene, r0, cal_rng);
-  bench::calibrate_reflector(scene, r1, cal_rng);
+  scene.calibrate_reflector(r0, cal_rng);
+  scene.calibrate_reflector(r1, cal_rng);
 
   // --- control channel: every fault axis on, severity drawn per seed ----
   sim::Simulator simulator;

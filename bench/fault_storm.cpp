@@ -39,7 +39,7 @@ Row run_level(const char* name, int intensity) {
   auto& reflector = scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0));
   sim::RngRegistry rngs{3};
   auto cal_rng = rngs.stream("cal");
-  bench::calibrate_reflector(scene, reflector, cal_rng);
+  scene.calibrate_reflector(reflector, cal_rng);
 
   sim::Simulator simulator;
   sim::ControlChannel control{simulator, {}, rngs.stream("bt")};

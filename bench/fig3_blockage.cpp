@@ -35,7 +35,6 @@ void record(ScenarioResult& result, double snr) {
 
 int main() {
   using bench::paper_scene;
-  using bench::steer_direct;
 
   const int kRuns = 20;
   const sim::RngRegistry rngs{42};
@@ -57,7 +56,7 @@ int main() {
     do {
       pos = scene.room().random_interior_point(rng, 0.8);
       scene.headset().node().set_position(pos);
-      steer_direct(scene);
+      scene.aim_direct();
     } while (scene.direct_snr().value() < required_snr ||
              geom::distance(pos, scene.ap().node().position()) < 1.5);
 
@@ -66,7 +65,7 @@ int main() {
     const geom::Vec2 ap = scene.ap().node().position();
     const auto blocked_snr = [&](channel::Obstacle obstacle) {
       scene.room().add_obstacle(std::move(obstacle));
-      steer_direct(scene);
+      scene.aim_direct();
       const double snr = scene.direct_snr().value();
       return snr;
     };

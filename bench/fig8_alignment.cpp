@@ -114,8 +114,8 @@ int main() {
   auto scene = bench::paper_scene({2.6, 1.4}, false);
   auto& reflector = scene.add_reflector({3.2, 4.8}, deg_to_rad(262.0));
   auto rng = rngs.stream("fig8-snrloss");
-  bench::calibrate_reflector(scene, reflector, rng);
-  scene.headset().node().face_toward(reflector.position());
+  scene.calibrate_reflector(reflector, rng);
+  scene.aim_via(reflector);
   const double aligned = scene.via_snr(reflector).snr.value();
   std::printf("%-18s %10s %10s\n", "misalignment", "via SNR", "loss");
   for (const double off : {0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0}) {

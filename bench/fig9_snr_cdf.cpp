@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     simulator.run();
 
     // 2. LOS, no blockage.
-    bench::steer_direct(scene);
+    scene.aim_direct();
     const double los = scene.direct_snr().value();
     los_snrs.push_back(los);
 
@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
 
     // 4. MoVR bridges the same blockage: AP re-illuminates the reflector,
     //    the reflection angle is searched and the gain adapted, live.
-    scene.ap().node().steer_toward(reflector.position());
-    scene.headset().node().face_toward(reflector.position());
+    scene.aim_via(reflector);
     // The reflection phase sweeps a wider sector: the headset may sit
     // anywhere in the play area, not only where the AP could be.
     auto reflection_config = core::make_search_config(1.0);

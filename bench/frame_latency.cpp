@@ -61,13 +61,13 @@ vr::QoeReport run_strategy(Strategy kind, const vr::Session::Config& config,
                            const vr::BlockageScript& script,
                            sim::RngRegistry& rngs) {
   auto scene = bench::paper_scene({3.0, 2.2}, false);
-  bench::steer_direct(scene);
+  scene.aim_direct();
   sim::Simulator simulator;
   switch (kind) {
     case Strategy::kMovr: {
       auto& reflector = scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0));
       auto rng = rngs.stream("cal");
-      bench::calibrate_reflector(scene, reflector, rng);
+      scene.calibrate_reflector(reflector, rng);
       vr::MovrStrategy strategy{simulator, scene, rngs.stream("mgr")};
       vr::Session session{simulator, scene,  strategy,
                           nullptr,   &script, config};

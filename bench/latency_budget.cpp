@@ -82,7 +82,7 @@ int main() {
     auto scene2 = bench::paper_scene({3.0, 2.0}, false);
     auto& r2 = scene2.add_reflector({4.6, 4.6}, deg_to_rad(225.0));
     auto cal_rng = rngs.stream("cal2");
-    bench::calibrate_reflector(scene2, r2, cal_rng);
+    scene2.calibrate_reflector(r2, cal_rng);
     sim::Simulator sim2;
     core::LinkManager manager{sim2, scene2, rngs.stream("mgr")};
     for (int i = 0; i < 5; ++i) {

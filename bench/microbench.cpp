@@ -257,8 +257,7 @@ BENCHMARK(BM_CoverageMap)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 void BM_LinkSnr(benchmark::State& state) {
   auto scene = make_scene();
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
   for (auto _ : state) {
     benchmark::DoNotOptimize(scene.direct_snr().value());
   }
@@ -272,8 +271,7 @@ void BM_ViaReflectorSnr(benchmark::State& state) {
   reflector.front_end().steer_tx(
       scene.true_reflector_angle_to_headset(reflector));
   reflector.front_end().set_gain_code(200);
-  scene.ap().node().steer_toward(reflector.position());
-  scene.headset().node().face_toward(reflector.position());
+  scene.aim_via(reflector);
   for (auto _ : state) {
     benchmark::DoNotOptimize(scene.via_snr(reflector).snr.value());
   }
@@ -301,12 +299,12 @@ struct ArenaFrame {
           deg_to_rad(bench::kApOrientationsDeg[u % 4]));
       scene.headset().node().set_position(ap + toward * (1.8 + 0.17 * k) +
                                           perp * (0.25 * k - 0.9));
-      bench::steer_direct(scene);
+      scene.aim_direct();
       scenes.push_back(std::move(scene));
     }
     std::mt19937_64 rng{1};
     for (std::size_t u = 4; u < std::min<std::size_t>(users, 8); ++u) {
-      bench::calibrate_reflector(scenes[u], scenes[u].reflector(u - 4), rng);
+      scenes[u].calibrate_reflector(scenes[u].reflector(u - 4), rng);
     }
     for (std::size_t u = 1; u < users; ++u) {
       const bool via = u >= 4 && u < 8;

@@ -99,10 +99,10 @@ bench::ArmResult run_arm(Arm arm, std::uint64_t seed, double duration_s) {
 
   const PacingLine line = pacing_line(chaos);
   auto scene = bench::paper_scene(line.a, false);
-  bench::steer_direct(scene);
+  scene.aim_direct();
   auto& reflector = scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0));
   auto cal_rng = rngs.stream("cal");
-  bench::calibrate_reflector(scene, reflector, cal_rng);
+  scene.calibrate_reflector(reflector, cal_rng);
 
   sim::Simulator simulator;
   // Brisk pacing, short end pauses: several shadow crossings per session,

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     auto scene = bench::paper_scene({3.0, 2.2}, false);
     auto& reflector = scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0));
     auto rng = rngs.stream("cal");
-    bench::calibrate_reflector(scene, reflector, rng);
+    scene.calibrate_reflector(reflector, rng);
     sim::Simulator simulator;
     vr::MovrStrategy strategy{simulator, scene, rngs.stream("mgr")};
     vr::PlayerMotion motion{scene.room(), {3.0, 2.2}, 11};

@@ -80,11 +80,7 @@ int main() {
     auto& side_wall = scene.add_reflector({0.4, 4.6}, deg_to_rad(315.0));
     std::mt19937_64 cal_rng{9};
     for (auto* r : {&far_corner, &side_wall}) {
-      r->front_end().steer_rx(scene.true_reflector_angle_to_ap(*r));
-      r->front_end().steer_tx(scene.true_reflector_angle_to_headset(*r));
-      scene.ap().node().steer_toward(r->position());
-      core::GainController::run(r->front_end(), scene.reflector_input(*r),
-                                cal_rng);
+      scene.calibrate_reflector(*r, cal_rng);
     }
     sim::Simulator simulator;
     vr::MovrStrategy strategy{simulator, scene, rngs.stream("movr")};

@@ -28,13 +28,8 @@ int main() {
   // (here from known geometry; examples/deploy_and_calibrate.cpp runs the
   // paper's actual search protocol), then let the gain controller ramp the
   // amplifier to just below the leakage limit.
-  reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
-  reflector.front_end().steer_tx(
-      scene.true_reflector_angle_to_headset(reflector));
-  scene.ap().node().steer_toward(reflector.position());
   std::mt19937_64 rng{1};
-  const auto gain = core::GainController::run(
-      reflector.front_end(), scene.reflector_input(reflector), rng);
+  const auto gain = scene.calibrate_reflector(reflector, rng);
   std::printf("reflector calibrated: amplifier gain %.1f dB (%s)\n",
               gain.final_gain.value(),
               gain.knee_found ? "leakage-limited" : "hardware-limited");
@@ -47,8 +42,7 @@ int main() {
   };
 
   // 1. Clear line of sight.
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
   report("clear LOS:", scene.direct_snr());
 
   // 2. The player raises a hand in front of the headset.
@@ -58,8 +52,7 @@ int main() {
   report("hand up, direct link:", scene.direct_snr());
 
   // 3. Same blockage, but the AP beams to the reflector instead.
-  scene.ap().node().steer_toward(reflector.position());
-  scene.headset().node().face_toward(reflector.position());
+  scene.aim_via(reflector);
   report("hand up, via MoVR:", scene.via_snr(reflector).snr);
 
   std::printf("\nrequired for the HTC Vive's raw stream: %.0f Mbps\n",

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include <core/gain_control.hpp>
 #include <sim/rng.hpp>
 
 namespace movr::arena {
@@ -105,14 +104,7 @@ Coordinator::UserWorld Coordinator::build_user_world(
   // live on the hardware at once.
   auto cal_rng = rngs.stream("arena.cal", user);
   for (std::size_t i = 0; i < world.scene.reflector_count(); ++i) {
-    core::MovrReflector& reflector = world.scene.reflector(i);
-    reflector.front_end().steer_rx(
-        world.scene.true_reflector_angle_to_ap(reflector));
-    reflector.front_end().steer_tx(
-        world.scene.true_reflector_angle_to_headset(reflector));
-    world.scene.ap().node().steer_toward(reflector.position());
-    core::GainController::run(reflector.front_end(),
-                              world.scene.reflector_input(reflector), cal_rng);
+    world.scene.calibrate_reflector(world.scene.reflector(i), cal_rng);
   }
   world.manager_rng = rngs.stream("arena.mgr", user);
   world.link_config = config.link;

@@ -13,8 +13,7 @@ namespace movr::baseline {
 // ---------------------------------------------------------------------
 
 FixedBeamStrategy::FixedBeamStrategy(core::Scene& scene) : scene_{scene} {
-  scene_.ap().node().steer_toward(scene_.headset().node().position());
-  scene_.headset().node().face_toward(scene_.ap().node().position());
+  scene_.aim_direct();
   ap_steer_ = scene_.ap().node().array().steering();
   headset_orientation_ = scene_.headset().node().orientation();
   headset_steer_ = scene_.headset().node().array().steering();
@@ -34,8 +33,7 @@ rf::Decibels FixedBeamStrategy::on_frame() {
 // ---------------------------------------------------------------------
 
 rf::Decibels DirectTrackingStrategy::on_frame() {
-  scene_.ap().node().steer_toward(scene_.headset().node().position());
-  scene_.headset().node().face_toward(scene_.ap().node().position());
+  scene_.aim_direct();
   return scene_.direct_snr();
 }
 

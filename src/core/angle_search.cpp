@@ -15,22 +15,37 @@ AngleSearchConfig make_search_config(double step_deg) {
 }
 
 // ---------------------------------------------------------------------
-// IncidenceSearch
+// SearchPhase: the run machinery both phases share
 // ---------------------------------------------------------------------
 
-IncidenceSearch::IncidenceSearch(sim::Simulator& simulator,
+template <class Result>
+SearchPhase<Result>::SearchPhase(sim::Simulator& simulator,
                                  sim::ControlChannel& control, Scene& scene,
                                  MovrReflector& reflector,
-                                 AngleSearchConfig config,
-                                 std::mt19937_64 rng)
+                                 AngleSearchConfig config, std::mt19937_64 rng)
     : simulator_{simulator},
-      control_{control},
       scene_{scene},
       reflector_{reflector},
       config_{std::move(config)},
-      rng_{rng} {}
+      rng_{rng},
+      control_{control} {}
 
-void IncidenceSearch::send_command(sim::ControlMessage message) {
+template <class Result>
+void SearchPhase<Result>::start(Callback done) {
+  done_ = std::move(done);
+  started_ = simulator_.now();
+  restore_gain_code_ = reflector_.front_end().gain_code();
+  // Hard deadline: whatever happens to the control plane, the caller gets
+  // its callback, so the simulator is never left idle mid-protocol.
+  watchdog_id_ = simulator_.after(config_.watchdog, [this] {
+    finish(false, "watchdog deadline expired before the sweep finished");
+  });
+  begin();
+  simulator_.after(config_.command_wait, [this] { step(0); });
+}
+
+template <class Result>
+void SearchPhase<Result>::send_command(sim::ControlMessage message) {
   ++result_.bt_commands;
   control_.send(reflector_.control_name(), std::move(message),
                 [this](bool delivered) {
@@ -42,37 +57,48 @@ void IncidenceSearch::send_command(sim::ControlMessage message) {
                 });
 }
 
-void IncidenceSearch::complete() {
+template <class Result>
+void SearchPhase<Result>::step(std::size_t index) {
+  if (done_fired_) {
+    return;
+  }
+  if (consecutive_failed_commands_ >= config_.abort_after_failed_commands) {
+    finish(false, "control channel down: " +
+                      std::to_string(consecutive_failed_commands_) +
+                      " consecutive commands unacked");
+    return;
+  }
+  if (index < config_.reflector_codebook.size()) {
+    measure(index);
+    return;
+  }
+  close();
+  after(config_.command_wait, [this] { finish(true, {}); });
+}
+
+template <class Result>
+void SearchPhase<Result>::finish(bool completed, std::string failure_reason) {
   if (done_fired_) {
     return;
   }
   done_fired_ = true;
   simulator_.cancel(watchdog_id_);
+  result_.completed = completed;
+  result_.failure_reason = std::move(failure_reason);
   result_.duration = simulator_.now() - started_;
   if (done_) {
     done_(result_);
   }
 }
 
-void IncidenceSearch::fail(const std::string& reason) {
-  if (done_fired_) {
-    return;
-  }
-  result_.completed = false;
-  result_.failure_reason = reason;
-  complete();
-}
+template class SearchPhase<IncidenceResult>;
+template class SearchPhase<ReflectionResult>;
 
-void IncidenceSearch::start(Callback done) {
-  done_ = std::move(done);
-  started_ = simulator_.now();
-  restore_gain_code_ = reflector_.front_end().gain_code();
-  // Hard deadline: whatever happens to the control plane, the caller gets
-  // its callback, so the simulator is never left idle mid-protocol.
-  watchdog_id_ = simulator_.after(config_.watchdog, [this] {
-    fail("watchdog deadline expired before the sweep finished");
-  });
+// ---------------------------------------------------------------------
+// IncidenceSearch
+// ---------------------------------------------------------------------
 
+void IncidenceSearch::begin() {
   // Warm the oracle for the whole sweep in one batched query: every
   // measurement below re-steers beams, but the endpoint pairs never change,
   // so the full (theta1, theta2) scan runs on cache hits.
@@ -83,36 +109,18 @@ void IncidenceSearch::start(Callback done) {
   scene_.prefetch_paths(prefetch);
 
   // Arm the reflector: conservative gain, modulation on.
-  send_command(
-      {"gain_code", static_cast<double>(config_.search_gain_code), 0});
+  send_gain_code(config_.search_gain_code);
   send_command({"modulate", 1.0, 0});
-  simulator_.after(config_.command_wait, [this] { step(0); });
 }
 
-void IncidenceSearch::step(std::size_t reflector_index) {
-  if (done_fired_) {
-    return;
-  }
-  if (consecutive_failed_commands_ >= config_.abort_after_failed_commands) {
-    fail("control channel down: " +
-         std::to_string(consecutive_failed_commands_) +
-         " consecutive commands unacked");
-    return;
-  }
-  if (reflector_index >= config_.reflector_codebook.size()) {
-    finish();
-    return;
-  }
+void IncidenceSearch::measure(std::size_t reflector_index) {
   const double theta1 = config_.reflector_codebook[reflector_index];
   send_command({"both_angles", theta1, 0});
 
   // After the command settles, the AP sweeps its own beam electronically
   // and measures the f1+f2 backscatter at each angle. The sweep is fast
   // (microseconds per angle); its full cost is charged before moving on.
-  simulator_.after(config_.command_wait, [this, reflector_index, theta1] {
-    if (done_fired_) {
-      return;
-    }
+  after(config_.command_wait, [this, reflector_index, theta1] {
     for (const double theta2 : config_.ap_codebook) {
       scene_.ap().node().array().steer(theta2);
       const rf::DbmPower reading = scene_.ap().measure_backscatter(
@@ -130,79 +138,23 @@ void IncidenceSearch::step(std::size_t reflector_index) {
     const auto sweep_cost =
         (config_.steer_settle + config_.tone_dwell) *
         static_cast<std::int64_t>(config_.ap_codebook.size());
-    simulator_.after(sweep_cost,
-                     [this, reflector_index] { step(reflector_index + 1); });
+    after(sweep_cost, [this, reflector_index] { step(reflector_index + 1); });
   });
 }
 
-void IncidenceSearch::finish() {
+void IncidenceSearch::close() {
   // Disarm and lock in the winners.
   send_command({"modulate", 0.0, 0});
-  send_command({"gain_code", static_cast<double>(restore_gain_code_), 0});
+  send_gain_code(restore_gain_code_);
   send_command({"rx_angle", result_.reflector_angle, 0});
   scene_.ap().node().array().steer(result_.ap_angle);
-
-  simulator_.after(config_.command_wait, [this] {
-    result_.completed = true;
-    complete();
-  });
 }
 
 // ---------------------------------------------------------------------
 // ReflectionSearch
 // ---------------------------------------------------------------------
 
-ReflectionSearch::ReflectionSearch(sim::Simulator& simulator,
-                                   sim::ControlChannel& control, Scene& scene,
-                                   MovrReflector& reflector,
-                                   AngleSearchConfig config,
-                                   std::mt19937_64 rng)
-    : simulator_{simulator},
-      control_{control},
-      scene_{scene},
-      reflector_{reflector},
-      config_{std::move(config)},
-      rng_{rng} {}
-
-void ReflectionSearch::send_command(sim::ControlMessage message) {
-  ++result_.bt_commands;
-  control_.send(reflector_.control_name(), std::move(message),
-                [this](bool delivered) {
-                  if (delivered) {
-                    consecutive_failed_commands_ = 0;
-                  } else {
-                    ++consecutive_failed_commands_;
-                  }
-                });
-}
-
-void ReflectionSearch::complete() {
-  if (done_fired_) {
-    return;
-  }
-  done_fired_ = true;
-  simulator_.cancel(watchdog_id_);
-  result_.duration = simulator_.now() - started_;
-  if (done_) {
-    done_(result_);
-  }
-}
-
-void ReflectionSearch::fail(const std::string& reason) {
-  if (done_fired_) {
-    return;
-  }
-  result_.completed = false;
-  result_.failure_reason = reason;
-  complete();
-}
-
-void ReflectionSearch::start(Callback done) {
-  done_ = std::move(done);
-  started_ = simulator_.now();
-  watchdog_id_ = simulator_.after(config_.watchdog, [this] {
-    fail("watchdog deadline expired before the sweep finished");
-  });
+void ReflectionSearch::begin() {
   // One batched warm-up for the three endpoint pairs the per-angle SNR
   // reads will ask about (AP->reflector, reflector->headset, AP->headset).
   channel::EndpointBatch prefetch;
@@ -217,53 +169,28 @@ void ReflectionSearch::start(Callback done) {
   // Arm a conservative, always-stable gain so the relayed signal is audible
   // at the headset for every candidate angle; the gain controller
   // re-optimises once the beam is locked.
-  restore_gain_code_ = reflector_.front_end().gain_code();
-  send_command(
-      {"gain_code", static_cast<double>(config_.search_gain_code), 0});
-  simulator_.after(config_.command_wait, [this] { step(0); });
+  send_gain_code(config_.search_gain_code);
 }
 
-void ReflectionSearch::step(std::size_t index) {
-  if (done_fired_) {
-    return;
-  }
-  if (consecutive_failed_commands_ >= config_.abort_after_failed_commands) {
-    fail("control channel down: " +
-         std::to_string(consecutive_failed_commands_) +
-         " consecutive commands unacked");
-    return;
-  }
-  if (index >= config_.reflector_codebook.size()) {
-    finish();
-    return;
-  }
+void ReflectionSearch::measure(std::size_t index) {
   const double theta = config_.reflector_codebook[index];
   send_command({"tx_angle", theta, 0});
 
-  simulator_.after(config_.command_wait + config_.snr_report_time,
-                   [this, index, theta] {
-                     if (done_fired_) {
-                       return;
-                     }
-                     const auto via = scene_.via_snr(reflector_);
-                     const rf::Decibels estimate =
-                         scene_.headset().observe(via.snr, rng_);
-                     ++result_.measurements;
-                     if (estimate > result_.best_snr) {
-                       result_.best_snr = estimate;
-                       result_.reflector_tx_angle = theta;
-                     }
-                     step(index + 1);
-                   });
+  after(config_.command_wait + config_.snr_report_time, [this, index, theta] {
+    const auto via = scene_.via_snr(reflector_);
+    const rf::Decibels estimate = scene_.headset().observe(via.snr, rng_);
+    ++result_.measurements;
+    if (estimate > result_.best_snr) {
+      result_.best_snr = estimate;
+      result_.reflector_tx_angle = theta;
+    }
+    step(index + 1);
+  });
 }
 
-void ReflectionSearch::finish() {
+void ReflectionSearch::close() {
   send_command({"tx_angle", result_.reflector_tx_angle, 0});
-  send_command({"gain_code", static_cast<double>(restore_gain_code_), 0});
-  simulator_.after(config_.command_wait, [this] {
-    result_.completed = true;
-    complete();
-  });
+  send_gain_code(restore_gain_code_);
 }
 
 }  // namespace movr::core

@@ -19,6 +19,7 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <core/scene.hpp>
@@ -81,74 +82,92 @@ struct ReflectionResult {
   std::string failure_reason;
 };
 
-/// Phase 1: finds the AP<->reflector alignment. Leaves the reflector's RX
-/// beam and the AP's beam at the winning angles, modulation off, and the
-/// gain restored to its pre-search code.
-class IncidenceSearch {
+/// The run machinery both phases share. start() saves the reflector's gain
+/// code and arms a hard watchdog; every command is counted, and a streak of
+/// unacked ones aborts the search ("control channel down"). Once the last
+/// codebook entry is measured the phase sends its closing commands, and the
+/// search concludes one command wait later. Whichever way it ends, the
+/// callback fires exactly once. A phase supplies the rest: begin() (its
+/// oracle prefetch and arming commands), measure() (one codebook entry,
+/// which ends by calling step(index + 1)) and close().
+template <class Result>
+class SearchPhase {
  public:
-  using Callback = std::function<void(const IncidenceResult&)>;
+  using Callback = std::function<void(const Result&)>;
 
-  IncidenceSearch(sim::Simulator& simulator, sim::ControlChannel& control,
-                  Scene& scene, MovrReflector& reflector,
-                  AngleSearchConfig config, std::mt19937_64 rng);
+  SearchPhase(sim::Simulator& simulator, sim::ControlChannel& control,
+              Scene& scene, MovrReflector& reflector, AngleSearchConfig config,
+              std::mt19937_64 rng);
 
   /// Begins the search; `done` fires (via the simulator) on completion.
   void start(Callback done);
 
- private:
-  void step(std::size_t reflector_index);
-  void finish();
-  void fail(const std::string& reason);
+ protected:
+  ~SearchPhase() = default;
+
+  virtual void begin() = 0;
+  virtual void measure(std::size_t index) = 0;
+  virtual void close() = 0;
+
+  /// Measures codebook entry `index`, or closes after the last one.
+  void step(std::size_t index);
   void send_command(sim::ControlMessage message);
-  void complete();
+  void send_gain_code(std::uint32_t code) {
+    send_command({"gain_code", static_cast<double>(code), 0});
+  }
+  /// Runs `action` after `delay` unless the search has ended by then.
+  template <class Action>
+  void after(sim::Duration delay, Action action) {
+    simulator_.after(delay, [this, action]() mutable {
+      if (!done_fired_) {
+        action();
+      }
+    });
+  }
 
   sim::Simulator& simulator_;
-  sim::ControlChannel& control_;
   Scene& scene_;
   MovrReflector& reflector_;
   AngleSearchConfig config_;
   std::mt19937_64 rng_;
-  Callback done_;
-  IncidenceResult result_;
+  Result result_;
+  /// The gain code the reflector had at start(), restored by close().
   std::uint32_t restore_gain_code_{0};
+
+ private:
+  void finish(bool completed, std::string failure_reason);
+
+  sim::ControlChannel& control_;
+  Callback done_;
   sim::TimePoint started_{};
   sim::EventQueue::EventId watchdog_id_{0};
   int consecutive_failed_commands_{0};
   bool done_fired_{false};
 };
 
-/// Phase 2: points the reflector's TX beam at the headset. Precondition:
-/// incidence alignment done (AP illuminating the reflector).
-class ReflectionSearch {
+/// Phase 1: finds the AP<->reflector alignment. Leaves the reflector's RX
+/// beam and the AP's beam at the winning angles, modulation off, and the
+/// gain restored to its pre-search code.
+class IncidenceSearch : public SearchPhase<IncidenceResult> {
  public:
-  using Callback = std::function<void(const ReflectionResult&)>;
-
-  ReflectionSearch(sim::Simulator& simulator, sim::ControlChannel& control,
-                   Scene& scene, MovrReflector& reflector,
-                   AngleSearchConfig config, std::mt19937_64 rng);
-
-  void start(Callback done);
+  using SearchPhase::SearchPhase;
 
  private:
-  void step(std::size_t index);
-  void finish();
-  void fail(const std::string& reason);
-  void send_command(sim::ControlMessage message);
-  void complete();
+  void begin() override;
+  void measure(std::size_t reflector_index) override;
+  void close() override;
+};
 
-  sim::Simulator& simulator_;
-  sim::ControlChannel& control_;
-  Scene& scene_;
-  MovrReflector& reflector_;
-  AngleSearchConfig config_;
-  std::mt19937_64 rng_;
-  Callback done_;
-  ReflectionResult result_;
-  std::uint32_t restore_gain_code_{0};
-  sim::TimePoint started_{};
-  sim::EventQueue::EventId watchdog_id_{0};
-  int consecutive_failed_commands_{0};
-  bool done_fired_{false};
+/// Phase 2: points the reflector's TX beam at the headset. Precondition:
+/// incidence alignment done (AP illuminating the reflector).
+class ReflectionSearch : public SearchPhase<ReflectionResult> {
+ public:
+  using SearchPhase::SearchPhase;
+
+ private:
+  void begin() override;
+  void measure(std::size_t index) override;
+  void close() override;
 };
 
 /// Default codebooks: the paper's sector sweep at `step_deg` resolution.

@@ -19,15 +19,13 @@ CoverageCell evaluate_cell(Scene& scene, geom::Vec2 position) {
   scene.headset().node().set_position(position);
 
   // Direct link, both ends aimed.
-  scene.ap().node().steer_toward(position);
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
   cell.direct_snr = scene.direct_snr();
 
   // Best reflector, re-aimed at the cell.
   for (std::size_t r = 0; r < scene.reflector_count(); ++r) {
     auto& reflector = scene.reflector(r);
-    scene.ap().node().steer_toward(reflector.position());
-    scene.headset().node().face_toward(reflector.position());
+    scene.aim_via(reflector);
     reflector.front_end().steer_tx(
         scene.true_reflector_angle_to_headset(reflector));
     const auto via = scene.via_snr(reflector);

@@ -142,9 +142,16 @@ void LinkManager::revoke_reflector(std::size_t index) {
   }
 }
 
-void LinkManager::steer_for_direct() {
-  scene_.ap().node().steer_toward(scene_.headset().node().position());
-  scene_.headset().node().face_toward(scene_.ap().node().position());
+template <class Probe>
+auto LinkManager::with_borrowed_beams(Probe probe) {
+  auto& ap = scene_.ap().node();
+  auto& headset = scene_.headset().node();
+  const double ap_steer = ap.array().steering();
+  const double headset_steer = headset.array().steering();
+  const auto result = probe();
+  ap.array().steer(ap_steer);
+  headset.array().steer(headset_steer);
+  return result;
 }
 
 std::optional<std::size_t> LinkManager::best_usable_reflector() {
@@ -171,13 +178,12 @@ rf::Decibels LinkManager::current_true_snr() {
     // kDirect, kDegraded, and kHandoverPending all ride the direct beam:
     // a pending handover has not moved any hardware yet, and degraded mode
     // is best-effort on whatever the direct path still carries.
-    steer_for_direct();
+    scene_.aim_direct();
     return scene_.direct_snr();
   }
   auto& reflector = scene_.reflector(active_reflector_);
   // AP illuminates the reflector; headset listens toward it.
-  scene_.ap().node().steer_toward(reflector.position());
-  scene_.headset().node().face_toward(reflector.position());
+  scene_.aim_via(reflector);
   // Re-aim the reflector's TX beam if the player walked out of it — a BT
   // exchange, so only when the reflector is reachable (the beam goes stale
   // across a partition; the SNR decay is the honest consequence).
@@ -313,9 +319,8 @@ void LinkManager::commit_handover(std::size_t target, std::uint64_t seq) {
     return;
   }
 
-  scene_.ap().node().steer_toward(reflector.position());
+  scene_.aim_via(reflector);
   BeamTracker::retarget(scene_, reflector, rng_, config_.tracker);
-  scene_.headset().node().face_toward(reflector.position());
 
   const auto via = scene_.via_snr(reflector);
   if (!via.usable || via.snr < config_.min_usable_snr) {
@@ -354,14 +359,12 @@ void LinkManager::leave_reflector() {
 }
 
 void LinkManager::probe_direct_path() {
-  // Hypothetical direct-link quality if both ends steered at each other.
-  // Evaluated without disturbing the live steering: save and restore.
-  const double ap_steer = scene_.ap().node().array().steering();
-  const double hs_steer = scene_.headset().node().array().steering();
-  steer_for_direct();
-  const rf::Decibels direct = scene_.direct_snr();
-  scene_.ap().node().array().steer(ap_steer);
-  scene_.headset().node().array().steer(hs_steer);
+  // Hypothetical direct-link quality if both ends steered at each other,
+  // evaluated without disturbing the live beams.
+  const rf::Decibels direct = with_borrowed_beams([this] {
+    scene_.aim_direct();
+    return scene_.direct_snr();
+  });
 
   if (direct >= scene_.headset().config().recover_threshold) {
     ++good_probes_;
@@ -483,14 +486,11 @@ std::optional<rf::Decibels> LinkManager::speculative_alt_snr() {
 
 std::optional<rf::Decibels> LinkManager::speculative_alt_snr_impl() {
   if (mode_ == Mode::kViaReflector) {
-    // Alternate = the direct beam. All-electronic save/restore probe.
-    const double ap_steer = scene_.ap().node().array().steering();
-    const double hs_steer = scene_.headset().node().array().steering();
-    steer_for_direct();
-    const rf::Decibels direct = scene_.direct_snr();
-    scene_.ap().node().array().steer(ap_steer);
-    scene_.headset().node().array().steer(hs_steer);
-    return direct;
+    // Alternate = the direct beam. All-electronic probe.
+    return with_borrowed_beams([this] {
+      scene_.aim_direct();
+      return scene_.direct_snr();
+    });
   }
   if (mode_ != Mode::kDirect && mode_ != Mode::kHandoverPending) {
     return std::nullopt;  // degraded: nothing usable to speculate on
@@ -502,13 +502,10 @@ std::optional<rf::Decibels> LinkManager::speculative_alt_snr_impl() {
     return std::nullopt;
   }
   auto& reflector = scene_.reflector(*target);
-  const double ap_steer = scene_.ap().node().array().steering();
-  const double hs_steer = scene_.headset().node().array().steering();
-  scene_.ap().node().steer_toward(reflector.position());
-  scene_.headset().node().face_toward(reflector.position());
-  const auto via = scene_.via_snr(reflector);
-  scene_.ap().node().array().steer(ap_steer);
-  scene_.headset().node().array().steer(hs_steer);
+  const auto via = with_borrowed_beams([&] {
+    scene_.aim_via(reflector);
+    return scene_.via_snr(reflector);
+  });
   if (!via.usable) {
     return std::nullopt;
   }

@@ -201,7 +201,10 @@ class LinkManager {
     bool captured{false};
   };
 
-  void steer_for_direct();
+  /// Runs `probe` on the AP's and the headset's beams, then puts back
+  /// what it borrowed: probes are what-ifs, the live link stays as aimed.
+  template <class Probe>
+  auto with_borrowed_beams(Probe probe);
   bool reachable(std::size_t index) const;
   bool via_occluded(const MovrReflector& reflector) const;
   bool acquire_lease(std::size_t index);

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include <channel/path_batch.hpp>
-#include <core/gain_control.hpp>
 #include <core/parallel_for.hpp>
 #include <geom/angle.hpp>
 #include <sim/rng.hpp>
@@ -131,15 +130,8 @@ std::vector<int> PlacementPlanner::score_round(
         }
         clear.prefetch_paths(batch);
 
-        const auto calibrate = [&](MovrReflector& r, std::mt19937_64& rng) {
-          r.front_end().steer_rx(clear.true_reflector_angle_to_ap(r));
-          r.front_end().steer_tx(clear.true_reflector_angle_to_headset(r));
-          clear.ap().node().steer_toward(r.position());
-          GainController::run(r.front_end(), clear.reflector_input(r), rng);
-        };
         const auto via_snr = [](Scene& scene, MovrReflector& r) {
-          scene.ap().node().steer_toward(r.position());
-          scene.headset().node().face_toward(r.position());
+          scene.aim_via(r);
           r.front_end().steer_tx(scene.true_reflector_angle_to_headset(r));
           return scene.via_snr(r).snr.value();
         };
@@ -152,7 +144,7 @@ std::vector<int> PlacementPlanner::score_round(
           const channel::Obstacle blocker =
               draw_blockage(pos, ap_position, rng);
           for (std::size_t i = 0; i < chosen.size(); ++i) {
-            calibrate(mounts[i], rng);
+            clear.calibrate_reflector(mounts[i], rng);
           }
 
           // The obstacle empties the blocked clone's cache; one batched
@@ -167,8 +159,7 @@ std::vector<int> PlacementPlanner::score_round(
           }
           blocked.prefetch_paths(batch);
 
-          blocked.ap().node().steer_toward(pos);
-          blocked.headset().node().face_toward(ap_position);
+          blocked.aim_direct();
           double prefix = blocked.direct_snr().value();
           for (std::size_t i = 0; i < chosen.size(); ++i) {
             prefix = std::max(prefix, via_snr(blocked, mounts[i]));
@@ -177,7 +168,7 @@ std::vector<int> PlacementPlanner::score_round(
           for (std::size_t c = 0; c < open.size(); ++c) {
             MovrReflector& mount = mounts[chosen.size() + c];
             std::mt19937_64 mount_rng = rng;
-            calibrate(mount, mount_rng);
+            clear.calibrate_reflector(mount, mount_rng);
             local[c + 1] +=
                 std::max(prefix, via_snr(blocked, mount)) < required;
           }

@@ -157,4 +157,13 @@ double Scene::true_reflector_angle_to_headset(const MovrReflector& r) const {
   return r.to_local((headset_.node().position() - r.position()).heading());
 }
 
+GainController::Result Scene::calibrate_reflector(MovrReflector& reflector,
+                                                  std::mt19937_64& rng) {
+  reflector.front_end().steer_rx(true_reflector_angle_to_ap(reflector));
+  reflector.front_end().steer_tx(true_reflector_angle_to_headset(reflector));
+  ap_.node().steer_toward(reflector.position());
+  return GainController::run(reflector.front_end(), reflector_input(reflector),
+                             rng);
+}
+
 }  // namespace movr::core

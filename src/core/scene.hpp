@@ -8,11 +8,13 @@
 #pragma once
 
 #include <memory>
+#include <random>
 #include <vector>
 
 #include <channel/room.hpp>
 #include <core/ap.hpp>
 #include <core/channel_oracle.hpp>
+#include <core/gain_control.hpp>
 #include <core/headset.hpp>
 #include <core/reflector.hpp>
 #include <hw/front_end.hpp>
@@ -121,6 +123,25 @@ class Scene {
   double true_ap_angle_to_reflector(const MovrReflector& reflector) const;
   /// Array-local angle at which the headset appears from the reflector.
   double true_reflector_angle_to_headset(const MovrReflector& reflector) const;
+
+  // --- ground-truth aiming and calibration ------------------------------
+  /// Aims the AP's beam at the headset and turns the headset to the AP.
+  void aim_direct() {
+    ap_.node().steer_toward(headset_.node().position());
+    headset_.node().face_toward(ap_.node().position());
+  }
+  /// Aims the AP's beam at `reflector` and turns the headset to it.
+  void aim_via(const MovrReflector& reflector) {
+    ap_.node().steer_toward(reflector.position());
+    headset_.node().face_toward(reflector.position());
+  }
+  /// Calibrates `reflector` (this scene's or any other) from ground truth
+  /// instead of the Section 4.1 search: RX beam at the AP, TX beam at the
+  /// headset, the AP's beam on the reflector, then the Section 4.2 gain
+  /// ramp, whose result it returns. For callers whose subject is not the
+  /// search itself (IncidenceSearch / ReflectionSearch, angle_search.hpp).
+  GainController::Result calibrate_reflector(MovrReflector& reflector,
+                                             std::mt19937_64& rng);
 
  private:
   channel::Room room_;
