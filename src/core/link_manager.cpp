@@ -147,9 +147,11 @@ auto LinkManager::with_borrowed_beams(Probe probe) {
   auto& ap = scene_.ap().node();
   auto& headset = scene_.headset().node();
   const double ap_steer = ap.array().steering();
+  const double headset_facing = headset.orientation();
   const double headset_steer = headset.array().steering();
   const auto result = probe();
   ap.array().steer(ap_steer);
+  headset.set_orientation(headset_facing);  // face_toward re-mounts it
   headset.array().steer(headset_steer);
   return result;
 }

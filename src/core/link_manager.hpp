@@ -202,7 +202,8 @@ class LinkManager {
   };
 
   /// Runs `probe` on the AP's and the headset's beams, then puts back
-  /// what it borrowed: probes are what-ifs, the live link stays as aimed.
+  /// what it borrowed (both steerings and the headset's mounting): probes
+  /// are what-ifs, the live link stays as aimed.
   template <class Probe>
   auto with_borrowed_beams(Probe probe);
   bool reachable(std::size_t index) const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <core/beam_tracker.hpp>
 #include <core/gain_control.hpp>
 #include <geom/angle.hpp>
@@ -293,6 +295,42 @@ TEST(LinkManager, SpeculativeAltSnrLeavesSteeringUntouched) {
   const auto direct_alt = manager.speculative_alt_snr();
   ASSERT_TRUE(direct_alt.has_value());
   EXPECT_LT(direct_alt->value(), alt->value());  // it IS blocked
+}
+
+TEST(LinkManager, ProbesKeepTheLiveBeams) {
+  // Probes are what-ifs. Both speculative branches and the direct probe
+  // made every probe_interval on a reflector must leave the AP's beam and
+  // the headset's beam, its mounting included, as the live link aimed them.
+  Fixture f;
+  LinkManager manager{f.simulator, f.scene, std::mt19937_64{4}};
+  auto& ap = f.scene.ap().node();
+  auto& headset = f.scene.headset().node();
+  const auto beams = [&] {
+    return std::array<double, 3>{ap.array().steering(),
+                                 headset.orientation(),
+                                 headset.array().steering()};
+  };
+  f.run_frames(manager, 3);
+  ASSERT_EQ(manager.mode(), LinkManager::Mode::kDirect);
+  auto live = beams();
+  ASSERT_TRUE(manager.speculative_alt_snr().has_value());  // the relay
+  EXPECT_EQ(beams(), live);
+
+  f.block_direct();
+  f.run_frames(manager, 20);
+  ASSERT_EQ(manager.mode(), LinkManager::Mode::kViaReflector);
+  live = beams();
+  ASSERT_TRUE(manager.speculative_alt_snr().has_value());  // the direct beam
+  EXPECT_EQ(beams(), live);
+
+  // 30 frames on the reflector hold three direct probes.
+  const double facing_reflector =
+      (f.reflector.position() - headset.position()).heading();
+  for (int frame = 0; frame < 30; ++frame) {
+    f.run_frames(manager, 1);
+    ASSERT_EQ(manager.mode(), LinkManager::Mode::kViaReflector);
+    EXPECT_EQ(headset.orientation(), facing_reflector) << "frame " << frame;
+  }
 }
 
 }  // namespace
