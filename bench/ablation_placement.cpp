@@ -50,8 +50,9 @@ int main() {
   for (int count = 0; count <= static_cast<int>(mounts.size()); ++count) {
     int outages = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
-      auto rng = rngs.stream("placement", static_cast<std::uint64_t>(
-                                              count * 1000 + trial));
+      // One stream per trial, shared by every reflector count: each row
+      // meets the same headset positions and blockage events.
+      auto rng = rngs.stream("placement", static_cast<std::uint64_t>(trial));
       auto scene = bench::paper_scene({0.0, 0.0}, false);
       std::vector<core::MovrReflector*> reflectors;
       for (int i = 0; i < count; ++i) {
@@ -61,25 +62,28 @@ int main() {
       }
       const geom::Vec2 pos = scene.room().random_interior_point(rng, 0.8);
       scene.headset().node().set_position(pos);
+
+      // A random blockage: hand, head, or passer-by. It is drawn before the
+      // ramps, whose draw counts differ between rows, and placed after
+      // them: the reflectors are calibrated at installation, unblocked.
+      const geom::Vec2 ap = scene.ap().node().position();
+      const channel::Obstacle blockage = [&] {
+        std::uniform_int_distribution<int> kind{0, 2};
+        switch (kind(rng)) {
+          case 0:
+            return channel::make_hand(pos, ap - pos);
+          case 1:
+            return channel::make_head(pos, ap - pos);
+          default:
+            return channel::make_person(
+                pos + (ap - pos).normalized() *
+                          bench::uniform(rng, 0.6, 2.0));
+        }
+      }();
       for (auto* r : reflectors) {
         scene.calibrate_reflector(*r, rng);
       }
-
-      // A random blockage: hand, head, or passer-by.
-      const geom::Vec2 ap = scene.ap().node().position();
-      std::uniform_int_distribution<int> kind{0, 2};
-      switch (kind(rng)) {
-        case 0:
-          scene.room().add_obstacle(channel::make_hand(pos, ap - pos));
-          break;
-        case 1:
-          scene.room().add_obstacle(channel::make_head(pos, ap - pos));
-          break;
-        default:
-          scene.room().add_obstacle(channel::make_person(
-              pos + (ap - pos).normalized() *
-                        std::uniform_real_distribution<double>{0.6, 2.0}(rng)));
-      }
+      scene.room().add_obstacle(blockage);
 
       // Best available link: direct, or via any reflector.
       scene.aim_direct();
