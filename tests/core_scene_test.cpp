@@ -159,5 +159,45 @@ TEST(Scene, MutatingRoomAffectsPhysicsImmediately) {
   EXPECT_NEAR(scene.direct_snr().value(), clear, 1e-9);
 }
 
+TEST(Scene, AimingPairsPointBothEndsAtEachOther) {
+  Scene scene = make_scene();
+  auto& reflector = scene.add_reflector({4.6, 4.6}, deg_to_rad(225.0));
+  const auto& ap = scene.ap().node();
+  const auto& headset = scene.headset().node();
+  const auto pointed_at = [](const phy::RadioNode& node, Vec2 target) {
+    return movr::geom::angular_distance(
+        node.steering_global(), (target - node.position()).heading());
+  };
+  scene.aim_direct();
+  EXPECT_NEAR(pointed_at(ap, headset.position()), 0.0, 1e-9);
+  EXPECT_NEAR(pointed_at(headset, ap.position()), 0.0, 1e-9);
+  scene.aim_via(reflector);
+  EXPECT_NEAR(pointed_at(ap, reflector.position()), 0.0, 1e-9);
+  EXPECT_NEAR(pointed_at(headset, reflector.position()), 0.0, 1e-9);
+}
+
+TEST(Scene, CalibrateReflectorAimsByGroundTruthThenRamps) {
+  Scene scene = make_scene();
+  auto& reflector = scene.add_reflector({4.6, 4.6}, deg_to_rad(225.0));
+  std::mt19937_64 rng{1};
+  const auto gain = scene.calibrate_reflector(reflector, rng);
+  const auto& front_end = reflector.front_end();
+  EXPECT_EQ(front_end.rx_array().steering(),
+            scene.true_reflector_angle_to_ap(reflector));
+  EXPECT_EQ(front_end.tx_array().steering(),
+            scene.true_reflector_angle_to_headset(reflector));
+  EXPECT_EQ(scene.ap().node().array().steering(),
+            scene.true_ap_angle_to_reflector(reflector));
+  EXPECT_EQ(front_end.gain_code(), gain.final_code);
+  scene.aim_via(reflector);
+  EXPECT_TRUE(scene.via_snr(reflector).usable);
+
+  // A reflector the scene does not own calibrates the same way.
+  MovrReflector mount{{4.6, 4.6}, deg_to_rad(225.0)};
+  std::mt19937_64 same_rng{1};
+  EXPECT_EQ(scene.calibrate_reflector(mount, same_rng).final_code,
+            gain.final_code);
+}
+
 }  // namespace
 }  // namespace movr::core
