@@ -70,13 +70,8 @@ core::Scene make_prototype() {
                     core::ApRadio{{0.4, 0.4}, deg_to_rad(45.0)},
                     core::HeadsetRadio{{3.0, 2.0}, 0.0}};
   auto& reflector = scene.add_reflector({4.6, 4.6}, deg_to_rad(225.0));
-  reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
-  reflector.front_end().steer_tx(
-      scene.true_reflector_angle_to_headset(reflector));
-  scene.ap().node().steer_toward(reflector.position());
   std::mt19937_64 rng{99};
-  core::GainController::run(reflector.front_end(),
-                            scene.reflector_input(reflector), rng);
+  scene.calibrate_reflector(reflector, rng);
   scene.ap().node().steer_toward(scene.headset().node().position());
   return scene;
 }

@@ -113,8 +113,7 @@ TEST(ReflectionSearch, PointsTxBeamAtHeadset) {
   // Pre-align the incidence side (as the protocol sequence would).
   f.reflector.front_end().steer_rx(
       f.scene.true_reflector_angle_to_ap(f.reflector));
-  f.scene.ap().node().steer_toward(f.reflector.position());
-  f.scene.headset().node().face_toward(f.reflector.position());
+  f.scene.aim_via(f.reflector);
   f.reflector.front_end().set_gain_code(220);
 
   ReflectionSearch search{f.simulator, f.control, f.scene, f.reflector,
@@ -138,8 +137,7 @@ TEST(ReflectionSearch, CountsWork) {
   Fixture f{7};
   f.reflector.front_end().steer_rx(
       f.scene.true_reflector_angle_to_ap(f.reflector));
-  f.scene.ap().node().steer_toward(f.reflector.position());
-  f.scene.headset().node().face_toward(f.reflector.position());
+  f.scene.aim_via(f.reflector);
   f.reflector.front_end().set_gain_code(170);
   ReflectionSearch search{f.simulator, f.control, f.scene, f.reflector,
                           make_search_config(5.0), std::mt19937_64{19}};

@@ -160,8 +160,7 @@ TEST(ChannelOracle, SceneDifferentialAgainstFreshScenes) {
   reflector.front_end().steer_tx(
       scene.true_reflector_angle_to_headset(reflector));
   reflector.front_end().set_gain_code(200);
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
 
   for (int step = 0; step < 10; ++step) {
     scene.room().remove_obstacles("person");

@@ -29,11 +29,8 @@ struct Fixture {
   }
 
   void calibrate(MovrReflector& r) {
-    r.front_end().steer_rx(scene.true_reflector_angle_to_ap(r));
-    r.front_end().steer_tx(scene.true_reflector_angle_to_headset(r));
-    scene.ap().node().steer_toward(r.position());
     std::mt19937_64 rng{99};
-    GainController::run(r.front_end(), scene.reflector_input(r), rng);
+    scene.calibrate_reflector(r, rng);
   }
 
   void block_direct() {
@@ -69,8 +66,7 @@ TEST(BeamTracker, AimsWithinADegree) {
 
 TEST(BeamTracker, RefinementNeverWorse) {
   Fixture f;
-  f.scene.ap().node().steer_toward(f.reflector.position());
-  f.scene.headset().node().face_toward(f.reflector.position());
+  f.scene.aim_via(f.reflector);
   std::mt19937_64 rng1{2};
   std::mt19937_64 rng2{2};
   BeamTracker::Config plain;

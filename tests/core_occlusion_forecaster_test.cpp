@@ -24,8 +24,7 @@ Scene blocked_scene(Vec2 headset_pos) {
   ApRadio ap{{0.4, 0.4}, deg_to_rad(45.0)};
   HeadsetRadio headset{headset_pos, 0.0};
   Scene scene{std::move(room), std::move(ap), std::move(headset)};
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
   return scene;
 }
 

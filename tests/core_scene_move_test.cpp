@@ -19,8 +19,7 @@ using geom::deg_to_rad;
 Scene make_scene() {
   Scene scene{channel::Room{5.0, 5.0}, ApRadio{{0.4, 0.4}, deg_to_rad(45.0)},
               HeadsetRadio{{3.0, 2.0}, 0.0}};
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
   return scene;
 }
 

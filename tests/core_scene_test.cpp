@@ -20,8 +20,7 @@ Scene make_scene() {
 
 TEST(Scene, DirectSnrWithAlignedBeams) {
   Scene scene = make_scene();
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
   const double snr = scene.direct_snr().value();
   EXPECT_GT(snr, 18.0);
   EXPECT_LT(snr, 35.0);
@@ -71,8 +70,7 @@ TEST(Scene, ReflectorInputStrongWhenAligned) {
 TEST(Scene, ViaSnrUsableAndStrong) {
   Scene scene = make_scene();
   auto& reflector = scene.add_reflector({4.6, 4.6}, deg_to_rad(225.0));
-  scene.ap().node().steer_toward(reflector.position());
-  scene.headset().node().face_toward(reflector.position());
+  scene.aim_via(reflector);
   reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
   reflector.front_end().steer_tx(
       scene.true_reflector_angle_to_headset(reflector));
@@ -86,8 +84,7 @@ TEST(Scene, ViaSnrUsableAndStrong) {
 TEST(Scene, ViaSnrZeroGainStillRelaysWeakly) {
   Scene scene = make_scene();
   auto& reflector = scene.add_reflector({4.6, 4.6}, deg_to_rad(225.0));
-  scene.ap().node().steer_toward(reflector.position());
-  scene.headset().node().face_toward(reflector.position());
+  scene.aim_via(reflector);
   reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
   reflector.front_end().steer_tx(
       scene.true_reflector_angle_to_headset(reflector));
@@ -147,8 +144,7 @@ TEST(Scene, ApMeasurementChain) {
 
 TEST(Scene, MutatingRoomAffectsPhysicsImmediately) {
   Scene scene = make_scene();
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
   const double clear = scene.direct_snr().value();
   scene.room().add_obstacle(channel::make_person(
       (scene.ap().node().position() + scene.headset().node().position()) *

@@ -28,11 +28,8 @@ Scene make_scene() {
 }
 
 void calibrate(Scene& scene, core::MovrReflector& r) {
-  r.front_end().steer_rx(scene.true_reflector_angle_to_ap(r));
-  r.front_end().steer_tx(scene.true_reflector_angle_to_headset(r));
-  scene.ap().node().steer_toward(r.position());
   std::mt19937_64 rng{99};
-  core::GainController::run(r.front_end(), scene.reflector_input(r), rng);
+  scene.calibrate_reflector(r, rng);
 }
 
 void block_direct(Scene& scene) {

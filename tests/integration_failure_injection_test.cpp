@@ -84,8 +84,7 @@ TEST(FailureInjection, OscillatingRelayIsWorseThanNothing) {
   reflector.front_end().steer_tx(
       scene.true_reflector_angle_to_headset(reflector));
   reflector.front_end().set_gain_code(reflector.front_end().max_gain_code());
-  scene.ap().node().steer_toward(reflector.position());
-  scene.headset().node().face_toward(reflector.position());
+  scene.aim_via(reflector);
 
   const auto via = scene.via_snr(reflector);
   ASSERT_FALSE(via.front_end.stable);
@@ -100,8 +99,7 @@ TEST(FailureInjection, BlockageDuringReflectionSearchRecoverable) {
   Scene scene = make_scene();
   auto& reflector = scene.add_reflector({3.4, 4.8}, deg_to_rad(262.0));
   reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
-  scene.ap().node().steer_toward(reflector.position());
-  scene.headset().node().face_toward(reflector.position());
+  scene.aim_via(reflector);
   scene.room().add_obstacle(channel::make_person({2.8, 3.2}));
 
   sim::Simulator simulator;

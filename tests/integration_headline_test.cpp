@@ -21,14 +21,8 @@ core::Scene make_scene(bool with_reflector) {
                     core::HeadsetRadio{{3.0, 2.2}, 0.0}};
   if (with_reflector) {
     auto& reflector = scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0));
-    reflector.front_end().steer_rx(
-        scene.true_reflector_angle_to_ap(reflector));
-    reflector.front_end().steer_tx(
-        scene.true_reflector_angle_to_headset(reflector));
-    scene.ap().node().steer_toward(reflector.position());
     std::mt19937_64 rng{2};
-    core::GainController::run(reflector.front_end(),
-                              scene.reflector_input(reflector), rng);
+    scene.calibrate_reflector(reflector, rng);
   }
   return scene;
 }

@@ -31,15 +31,9 @@ struct World {
               core::ApRadio{{0.4, 0.4}, deg_to_rad(45.0)},
               core::HeadsetRadio{headset_start, 0.0}},
         reflector{scene.add_reflector({3.6, 4.8}, deg_to_rad(265.0))} {
-    scene.ap().node().steer_toward(scene.headset().node().position());
-    scene.headset().node().face_toward(scene.ap().node().position());
-    reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
-    reflector.front_end().steer_tx(
-        scene.true_reflector_angle_to_headset(reflector));
-    scene.ap().node().steer_toward(reflector.position());
+    scene.aim_direct();
     std::mt19937_64 rng{5};
-    core::GainController::run(reflector.front_end(),
-                              scene.reflector_input(reflector), rng);
+    scene.calibrate_reflector(reflector, rng);
     scene.ap().node().steer_toward(scene.headset().node().position());
   }
 };

@@ -160,8 +160,7 @@ TEST(Integration, ReflectorBridgesAllPaperBlockageKinds) {
     EXPECT_LT(s.direct_snr().value(), 17.5);
 
     // Via the reflector: alive.
-    s.ap().node().steer_toward(reflector.position());
-    s.headset().node().face_toward(reflector.position());
+    s.aim_via(reflector);
     EXPECT_GT(s.via_snr(reflector).snr.value(), 17.5);
   }
 }

@@ -98,8 +98,7 @@ std::string record_soak_log() {
   std::mt19937_64 cal{5};
   core::GainController::run(reflector.front_end(),
                             scene.reflector_input(reflector), cal);
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
 
   sim::Simulator simulator;
   Recorder::Config log_config;

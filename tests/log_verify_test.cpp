@@ -223,8 +223,7 @@ core::Scene logged_scene() {
   std::mt19937_64 rng{5};
   core::GainController::run(reflector.front_end(),
                             scene.reflector_input(reflector), rng);
-  scene.ap().node().steer_toward(scene.headset().node().position());
-  scene.headset().node().face_toward(scene.ap().node().position());
+  scene.aim_direct();
   return scene;
 }
 

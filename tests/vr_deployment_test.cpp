@@ -34,8 +34,7 @@ TEST(Deployment, CalibratesEveryReflector) {
   // The calibrated system relays at VR grade.
   auto& scene = deployment.scene();
   auto& reflector = scene.reflector(0);
-  scene.ap().node().steer_toward(reflector.position());
-  scene.headset().node().face_toward(reflector.position());
+  scene.aim_via(reflector);
   EXPECT_GT(scene.via_snr(reflector).snr.value(), 17.0);
 }
 

@@ -21,13 +21,8 @@ core::Scene make_scene() {
 }
 
 void calibrate_reflector(core::Scene& scene, core::MovrReflector& reflector) {
-  reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
-  reflector.front_end().steer_tx(
-      scene.true_reflector_angle_to_headset(reflector));
-  scene.ap().node().steer_toward(reflector.position());
   std::mt19937_64 rng{5};
-  core::GainController::run(reflector.front_end(),
-                            scene.reflector_input(reflector), rng);
+  scene.calibrate_reflector(reflector, rng);
 }
 
 TEST(SessionTransport, DisabledByDefaultAndAbsentFromReport) {
