@@ -19,7 +19,6 @@
 #include <functional>
 #include <random>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <core/scene.hpp>
@@ -98,13 +97,14 @@ class SearchPhase {
   SearchPhase(sim::Simulator& simulator, sim::ControlChannel& control,
               Scene& scene, MovrReflector& reflector, AngleSearchConfig config,
               std::mt19937_64 rng);
+  // Scheduled events and command callbacks hold `this`.
+  SearchPhase(const SearchPhase&) = delete;
+  SearchPhase& operator=(const SearchPhase&) = delete;
 
   /// Begins the search; `done` fires (via the simulator) on completion.
   void start(Callback done);
 
  protected:
-  ~SearchPhase() = default;
-
   virtual void begin() = 0;
   virtual void measure(std::size_t index) = 0;
   virtual void close() = 0;
@@ -148,7 +148,7 @@ class SearchPhase {
 /// Phase 1: finds the AP<->reflector alignment. Leaves the reflector's RX
 /// beam and the AP's beam at the winning angles, modulation off, and the
 /// gain restored to its pre-search code.
-class IncidenceSearch : public SearchPhase<IncidenceResult> {
+class IncidenceSearch final : public SearchPhase<IncidenceResult> {
  public:
   using SearchPhase::SearchPhase;
 
@@ -160,7 +160,7 @@ class IncidenceSearch : public SearchPhase<IncidenceResult> {
 
 /// Phase 2: points the reflector's TX beam at the headset. Precondition:
 /// incidence alignment done (AP illuminating the reflector).
-class ReflectionSearch : public SearchPhase<ReflectionResult> {
+class ReflectionSearch final : public SearchPhase<ReflectionResult> {
  public:
   using SearchPhase::SearchPhase;
 
