@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,8 +56,14 @@ class Room {
   bool contains(geom::Vec2 p, double margin = 0.0) const;
 
   /// Uniformly random interior point at least `margin` from every wall.
+  /// Throws std::invalid_argument unless 0 <= `margin` <= half of each
+  /// side: a wider margin leaves no interior to draw from.
   template <typename Rng>
   geom::Vec2 random_interior_point(Rng& rng, double margin = 0.5) const {
+    if (!(margin >= 0.0 && 2.0 * margin <= width_ && 2.0 * margin <= depth_)) {
+      throw std::invalid_argument{
+          "Room: random_interior_point margin leaves no interior"};
+    }
     std::uniform_real_distribution<double> ux{margin, width_ - margin};
     std::uniform_real_distribution<double> uy{margin, depth_ - margin};
     return {ux(rng), uy(rng)};

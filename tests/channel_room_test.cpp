@@ -1,6 +1,8 @@
 #include <channel/room.hpp>
 
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <string_view>
 
 #include <channel/path_solver.hpp>
@@ -97,6 +99,16 @@ TEST(Room, RandomInteriorPointRespectsMargin) {
     EXPECT_LE(p.x, 4.5);
     EXPECT_GE(p.y, 0.5);
     EXPECT_LE(p.y, 4.5);
+  }
+  // A margin of half the narrower side leaves only its centre line; a
+  // wider, negative or NaN margin leaves no interior at all.
+  const Room hall{5.0, 1.6};
+  EXPECT_EQ(hall.random_interior_point(rng, 0.8).y, 0.8);
+  for (const double margin :
+       {0.81, 2.6, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(hall.random_interior_point(rng, margin),
+                 std::invalid_argument)
+        << "margin " << margin;
   }
 }
 
