@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
 
 #include <channel/path_batch.hpp>
@@ -87,55 +85,44 @@ channel::Obstacle draw_blockage(geom::Vec2 pos, geom::Vec2 ap,
 
 }  // namespace
 
-std::vector<int> PlacementPlanner::score_round(
-    const channel::Room& room, geom::Vec2 ap_position,
-    const std::vector<PlacementCandidate>& chosen,
-    const std::vector<const PlacementCandidate*>& open) const {
+PlacementPlan PlacementPlanner::plan(const channel::Room& room,
+                                     geom::Vec2 ap_position) const {
+  const std::vector<PlacementCandidate> mounts = candidates(room, ap_position);
+  // One row per trial: the direct SNR under the trial's blockage event,
+  // then every mount's via SNR under the same event.
+  const std::size_t trials = static_cast<std::size_t>(config_.trials);
+  const std::size_t columns = mounts.size() + 1;
+  std::vector<double> snr(trials * columns);
+
   // Every trial draws from its own (seed, trial) RNG stream in one order:
-  // headset position, blockage event, the chosen mounts' ramps, then the
-  // scored mount's ramp on a copy of the RNG. A ramp reads only the headset
+  // headset position, blockage event, then each mount's ramp from its own
+  // copy of the stream as the event left it. A ramp reads only the headset
   // position, its own mount, the obstacle-free AP->mount paths and the RNG,
-  // and reflectors are not room obstacles. So every candidate meets the
-  // trial's one event, the chosen mounts score the same for all of them,
-  // and max(prefix score, candidate's via SNR) is exactly a from-scratch
-  // evaluation of chosen + candidate. Trials are independent: counts are
-  // identical for every thread count.
+  // reflectors are not room obstacles, and a via read depends only on its
+  // own mount. So a mount scores the same in a trial whichever other mounts
+  // are deployed, and max(direct, the set's vias) over a row is exactly a
+  // from-scratch evaluation of any candidate set. Each trial writes only
+  // its own row: the table is identical for every thread count.
   const sim::RngRegistry rngs{seed_};
-  std::mutex mutex;
-  std::vector<std::vector<int>> partials;  // one per worker
   parallel_for(
-      static_cast<std::size_t>(config_.trials), config_.threads,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<int> local(open.size() + 1, 0);
+      trials, config_.threads, [&](std::size_t begin, std::size_t end) {
         // The obstacle-free room is the same in every trial, so one scene
         // per worker serves every ramp, and its oracle keeps the AP->mount
-        // paths across trials. So do the mounts: the chosen ones first,
-        // then one per open candidate. Each ramp re-steers both arrays and
-        // starts from gain code 0, so a mount carries nothing between
-        // trials.
+        // paths across trials. So do the mounts: each ramp re-steers both
+        // arrays and starts from gain code 0, so a mount carries nothing
+        // between trials.
         Scene clear{channel::Room{room}, ApRadio{ap_position, 0.0},
                     HeadsetRadio{{room.width() / 2.0, room.depth() / 2.0},
                                  0.0}};
-        std::vector<MovrReflector> mounts;
-        mounts.reserve(chosen.size() + open.size());
-        for (const PlacementCandidate& mount : chosen) {
-          mounts.emplace_back(mount.position, mount.orientation);
-        }
-        for (const PlacementCandidate* mount : open) {
-          mounts.emplace_back(mount->position, mount->orientation);
-        }
+        std::vector<MovrReflector> reflectors;
+        reflectors.reserve(mounts.size());
         channel::EndpointBatch batch;  // capacity kept across trials
-        for (const MovrReflector& r : mounts) {
-          batch.push(ap_position, r.position());
+        for (const PlacementCandidate& mount : mounts) {
+          reflectors.emplace_back(mount.position, mount.orientation);
+          batch.push(ap_position, mount.position);
         }
         clear.prefetch_paths(batch);
 
-        const auto via_snr = [](Scene& scene, MovrReflector& r) {
-          scene.aim_via(r);
-          r.front_end().steer_tx(scene.true_reflector_angle_to_headset(r));
-          return scene.via_snr(r).snr.value();
-        };
-        const double required = config_.required_snr.value();
         for (std::size_t trial = begin; trial < end; ++trial) {
           std::mt19937_64 rng = rngs.stream("placement-trial", trial);
           const geom::Vec2 pos = clear.room().random_interior_point(rng, 0.8);
@@ -143,9 +130,6 @@ std::vector<int> PlacementPlanner::score_round(
           clear.ap().node().set_orientation((pos - ap_position).heading());
           const channel::Obstacle blocker =
               draw_blockage(pos, ap_position, rng);
-          for (std::size_t i = 0; i < chosen.size(); ++i) {
-            clear.calibrate_reflector(mounts[i], rng);
-          }
 
           // The obstacle empties the blocked clone's cache; one batched
           // solve fills it for every SNR read of the trial.
@@ -153,76 +137,73 @@ std::vector<int> PlacementPlanner::score_round(
           blocked.room().add_obstacle(blocker);
           batch.clear();
           batch.push(ap_position, pos);
-          for (const MovrReflector& r : mounts) {
+          for (const MovrReflector& r : reflectors) {
             batch.push(ap_position, r.position());
             batch.push(r.position(), pos);
           }
           blocked.prefetch_paths(batch);
 
+          double* row = &snr[trial * columns];
           blocked.aim_direct();
-          double prefix = blocked.direct_snr().value();
-          for (std::size_t i = 0; i < chosen.size(); ++i) {
-            prefix = std::max(prefix, via_snr(blocked, mounts[i]));
-          }
-          local[0] += prefix < required;
-          for (std::size_t c = 0; c < open.size(); ++c) {
-            MovrReflector& mount = mounts[chosen.size() + c];
+          row[0] = blocked.direct_snr().value();
+          for (std::size_t m = 0; m < reflectors.size(); ++m) {
+            MovrReflector& r = reflectors[m];
             std::mt19937_64 mount_rng = rng;
-            clear.calibrate_reflector(mount, mount_rng);
-            local[c + 1] +=
-                std::max(prefix, via_snr(blocked, mount)) < required;
+            clear.calibrate_reflector(r, mount_rng);
+            blocked.aim_via(r);
+            r.front_end().steer_tx(blocked.true_reflector_angle_to_headset(r));
+            row[m + 1] = blocked.via_snr(r).snr.value();
           }
         }
-        const std::scoped_lock lock{mutex};
-        partials.push_back(std::move(local));
       });
-  std::vector<int> outages(open.size() + 1, 0);
-  for (const std::vector<int>& partial : partials) {
-    std::transform(partial.begin(), partial.end(), outages.begin(),
-                   outages.begin(), std::plus<>{});
+
+  // The greedy rounds are arithmetic over the table. `best` holds each
+  // trial's max(direct, chosen vias); a column's outage counts the trials
+  // where max(best, that column) misses the requirement.
+  const double required = config_.required_snr.value();
+  std::vector<double> best(trials);
+  for (std::size_t t = 0; t < trials; ++t) {
+    best[t] = snr[t * columns];
   }
-  return outages;
-}
+  const auto outage = [&](std::size_t column) {
+    int outages = 0;
+    for (std::size_t t = 0; t < trials; ++t) {
+      outages += std::max(best[t], snr[t * columns + column]) < required;
+    }
+    return static_cast<double>(outages) / config_.trials;
+  };
 
-PlacementPlan PlacementPlanner::plan(const channel::Room& room,
-                                     geom::Vec2 ap_position) const {
   PlacementPlan result;
-  const auto all = candidates(room, ap_position);
-  result.outage_curve.push_back(
-      static_cast<double>(score_round(room, ap_position, {}, {})[0]) /
-      config_.trials);
-
-  std::vector<PlacementCandidate> chosen;
-  while (static_cast<int>(chosen.size()) < config_.max_reflectors &&
+  result.outage_curve.push_back(outage(0));
+  std::vector<bool> open(mounts.size(), true);
+  while (static_cast<int>(result.chosen.size()) < config_.max_reflectors &&
          result.outage_curve.back() > config_.target_outage) {
-    std::vector<const PlacementCandidate*> open;
-    for (const PlacementCandidate& candidate : all) {
-      const bool already = std::any_of(
-          chosen.begin(), chosen.end(), [&](const PlacementCandidate& c) {
-            return geom::distance(c.position, candidate.position) < 1e-6;
-          });
-      if (!already) {
-        open.push_back(&candidate);
-      }
-    }
-    const auto outages = score_round(room, ap_position, chosen, open);
     double best_outage = result.outage_curve.back();
-    const PlacementCandidate* best_candidate = nullptr;
-    for (std::size_t i = 0; i < open.size(); ++i) {
-      const double outage =
-          static_cast<double>(outages[i + 1]) / config_.trials;
-      if (outage < best_outage) {
-        best_outage = outage;
-        best_candidate = open[i];
+    std::size_t pick = mounts.size();
+    for (std::size_t m = 0; m < mounts.size(); ++m) {
+      if (!open[m]) {
+        continue;
+      }
+      const double candidate_outage = outage(m + 1);
+      if (candidate_outage < best_outage) {
+        best_outage = candidate_outage;
+        pick = m;
       }
     }
-    if (best_candidate == nullptr) {
-      break;  // no candidate improves coverage
+    if (pick == mounts.size()) {
+      break;  // no open mount improves coverage
     }
-    chosen.push_back(*best_candidate);
+    const geom::Vec2 spot = mounts[pick].position;
+    for (std::size_t t = 0; t < trials; ++t) {
+      best[t] = std::max(best[t], snr[t * columns + pick + 1]);
+    }
+    // The chosen mount, and any other at the same spot, leaves the pool.
+    for (std::size_t m = 0; m < mounts.size(); ++m) {
+      open[m] = open[m] && geom::distance(mounts[m].position, spot) >= 1e-6;
+    }
+    result.chosen.push_back(mounts[pick]);
     result.outage_curve.push_back(best_outage);
   }
-  result.chosen = std::move(chosen);
   return result;
 }
 

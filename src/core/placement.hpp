@@ -58,19 +58,14 @@ class PlacementPlanner {
   std::vector<PlacementCandidate> candidates(const channel::Room& room,
                                              geom::Vec2 ap_position) const;
 
-  /// Greedy plan for a room with the AP at `ap_position`.
+  /// Greedy plan for a room with the AP at `ap_position`. Throws
+  /// std::invalid_argument when a side is under 1.6 m: headset positions
+  /// are drawn 0.8 m from every wall.
   PlacementPlan plan(const channel::Room& room, geom::Vec2 ap_position) const;
 
  private:
   Config config_;
   std::uint64_t seed_;
-
-  /// One greedy round: outage counts over `trials` blockage events, first
-  /// for `chosen` alone, then for `chosen` plus each entry of `open`.
-  std::vector<int> score_round(
-      const channel::Room& room, geom::Vec2 ap_position,
-      const std::vector<PlacementCandidate>& chosen,
-      const std::vector<const PlacementCandidate*>& open) const;
 };
 
 }  // namespace movr::core

@@ -147,12 +147,13 @@ TEST(ParallelPlacement, PlanIdenticalForEveryThreadCount) {
   }
 }
 
-// The planner before each greedy round became one pass over trials: every
-// candidate set is scored from scratch, each trial recalibrating every
-// mount. The evaluation body and the greedy loop are that implementation's,
-// with the planner's config and seed as parameters, and with its draw order
-// moved to the planner's: headset position, blockage event, every ramp, and
-// only then the obstacle added.
+// The planner as it was before it shared any work between candidate sets:
+// every set is scored from scratch, each trial recalibrating every mount.
+// The evaluation body and the greedy loop are that implementation's, with
+// the planner's config and seed as parameters, and with its draw order
+// moved to the planner's: headset position, blockage event, then each
+// mount's ramp from its own copy of the trial's stream as the event left
+// it, and only then the obstacle added.
 double reference_outage(const PlacementPlanner::Config& config,
                         std::uint64_t seed, const channel::Room& room,
                         geom::Vec2 ap_position,
@@ -216,8 +217,9 @@ double reference_outage(const PlacementPlanner::Config& config,
             r->front_end().steer_tx(
                 scene.true_reflector_angle_to_headset(*r));
             scene.ap().node().steer_toward(r->position());
+            std::mt19937_64 mount_rng = rng;
             GainController::run(r->front_end(), scene.reflector_input(*r),
-                                rng);
+                                mount_rng);
           }
 
           scene.room().add_obstacle(blocker);

@@ -98,6 +98,50 @@ TEST(Placement, FirstReflectorDoesTheHeavyLifting) {
   EXPECT_LT(plan.outage_curve[1], 0.35);
 }
 
+TEST(Placement, StopsWhenNoMountIsLeft) {
+  PlacementPlanner::Config config = fast_config();
+  config.mount_spacing_m = 3.0;
+  config.required_snr = rf::Decibels{25.0};
+  config.target_outage = 0.0;
+  config.max_reflectors = 5;
+  const PlacementPlanner planner{config, 1};
+  const geom::Vec2 ap{0.4, 0.4};
+
+  // Three mounts, each of which helps: the plan takes all of them, each
+  // once, and stops with outage still above the target.
+  const channel::Room small{4.0, 3.0};
+  const auto mounts = planner.candidates(small, ap);
+  ASSERT_EQ(mounts.size(), 3u);
+  const auto plan = planner.plan(small, ap);
+  ASSERT_EQ(plan.chosen.size(), mounts.size());
+  for (std::size_t i = 0; i < plan.chosen.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(plan.chosen[i].position, plan.chosen[j].position);
+    }
+  }
+  ASSERT_EQ(plan.outage_curve.size(), plan.chosen.size() + 1);
+  for (std::size_t i = 1; i < plan.outage_curve.size(); ++i) {
+    EXPECT_LT(plan.outage_curve[i], plan.outage_curve[i - 1]);
+  }
+  EXPECT_GT(plan.outage_curve.back(), config.target_outage);
+
+  // Corner margins that leave no mount: the baseline alone.
+  PlacementPlanner::Config wide = config;
+  wide.corner_margin_m = 1.5;
+  const PlacementPlanner no_mounts{wide, 1};
+  const channel::Room room{3.0, 3.0};
+  ASSERT_TRUE(no_mounts.candidates(room, ap).empty());
+  const auto bare = no_mounts.plan(room, ap);
+  EXPECT_TRUE(bare.chosen.empty());
+  ASSERT_EQ(bare.outage_curve.size(), 1u);
+  EXPECT_GT(bare.outage_curve.front(), config.target_outage);
+
+  // A room too narrow to stand a headset 0.8 m from every wall has no
+  // trial to score.
+  EXPECT_THROW(planner.plan(channel::Room{1.5, 1.5}, ap),
+               std::invalid_argument);
+}
+
 TEST(Placement, DeterministicPerSeed) {
   const channel::Room room{5.0, 5.0};
   const auto a = PlacementPlanner{fast_config(), 9}.plan(room, {0.4, 0.4});
