@@ -1,7 +1,10 @@
 #include <core/coverage.hpp>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include <channel/path_batch.hpp>
@@ -10,6 +13,19 @@
 namespace movr::core {
 
 namespace {
+
+/// Cells along a wall of `length_m`: one at the margin, then one per whole
+/// `resolution_m` step until the opposite margin. Throws std::invalid_argument
+/// when no cell fits or the count does not fit an int.
+int axis_cells(double length_m, double resolution_m, double wall_margin_m) {
+  const double steps = (length_m - 2.0 * wall_margin_m) / resolution_m;
+  if (!(steps >= 0.0 && steps < std::numeric_limits<int>::max())) {
+    throw std::invalid_argument{
+        "compute_coverage: the grid must fit at least one cell and at most "
+        "INT_MAX per axis"};
+  }
+  return static_cast<int>(steps) + 1;
+}
 
 /// One cell against one (worker-local) scene: aim both ends at the cell,
 /// read the direct SNR, then try every reflector re-aimed at the cell.
@@ -62,11 +78,17 @@ double CoverageMap::reflector_covered_fraction(rf::Decibels threshold) const {
 
 CoverageMap compute_coverage(const Scene& scene, double resolution_m,
                              double wall_margin_m, unsigned threads) {
+  if (!std::isfinite(resolution_m) || resolution_m <= 0.0) {
+    throw std::invalid_argument{
+        "compute_coverage: resolution_m must be finite and > 0"};
+  }
+  if (!std::isfinite(wall_margin_m) || wall_margin_m < 0.0) {
+    throw std::invalid_argument{
+        "compute_coverage: wall_margin_m must be finite and >= 0"};
+  }
   CoverageMap map;
-  const double w = scene.room().width();
-  const double d = scene.room().depth();
-  map.cells_x = static_cast<int>((w - 2.0 * wall_margin_m) / resolution_m) + 1;
-  map.cells_y = static_cast<int>((d - 2.0 * wall_margin_m) / resolution_m) + 1;
+  map.cells_x = axis_cells(scene.room().width(), resolution_m, wall_margin_m);
+  map.cells_y = axis_cells(scene.room().depth(), resolution_m, wall_margin_m);
   const std::size_t total = static_cast<std::size_t>(map.cells_x) *
                             static_cast<std::size_t>(map.cells_y);
   map.cells.resize(total);

@@ -49,7 +49,10 @@ struct CoverageMap {
 /// from the walls. Cells are evaluated on per-worker Scene clones — the
 /// passed scene itself is never touched — split across `threads` workers
 /// (0 = one per hardware thread). Results are identical for every thread
-/// count: each cell's evaluation is independent and order-free.
+/// count: each cell's evaluation is independent and order-free. Throws
+/// std::invalid_argument unless `resolution_m` is finite and > 0,
+/// `wall_margin_m` is finite and >= 0, and each axis fits between one and
+/// INT_MAX cells.
 CoverageMap compute_coverage(const Scene& scene, double resolution_m = 0.25,
                              double wall_margin_m = 0.5,
                              unsigned threads = 0);

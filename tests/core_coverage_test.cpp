@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include <core/gain_control.hpp>
 #include <geom/angle.hpp>
 
@@ -32,6 +35,35 @@ TEST(Coverage, GridDimensions) {
   EXPECT_EQ(map.cells_x, 9);
   EXPECT_EQ(map.cells_y, 9);
   EXPECT_EQ(map.cells.size(), 81u);
+}
+
+TEST(Coverage, RejectsGridsItCannotEvaluate) {
+  // A margin wider than half the room used to give cells_x = cells_y = -7
+  // and 49 cells outside the room; a resolution <= 0 or non-finite gave
+  // negative counts or cast a non-finite count to int.
+  const Scene scene{channel::Room{8.0, 8.0}, ApRadio{{0.4, 0.4}, 0.0},
+                    HeadsetRadio{{4.0, 4.0}, 0.0}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(compute_coverage(scene, 0.25, 5.0), std::invalid_argument);
+  for (const double resolution : {0.0, -0.25, nan, inf, 1e-12}) {
+    EXPECT_THROW(compute_coverage(scene, resolution, 0.5),
+                 std::invalid_argument)
+        << "resolution_m " << resolution;
+  }
+  for (const double margin : {-0.1, nan, inf}) {
+    EXPECT_THROW(compute_coverage(scene, 0.25, margin), std::invalid_argument)
+        << "wall_margin_m " << margin;
+  }
+  // The boundaries stay legal: a margin of half the room fits one cell,
+  // and a zero margin puts cells on the walls.
+  const auto centre = compute_coverage(scene, 0.25, 4.0);
+  EXPECT_EQ(centre.cells_x, 1);
+  EXPECT_EQ(centre.cells_y, 1);
+  EXPECT_EQ(centre.cells.at(0).position, (geom::Vec2{4.0, 4.0}));
+  const auto walls = compute_coverage(scene, 4.0, 0.0);
+  EXPECT_EQ(walls.cells_x, 3);
+  EXPECT_EQ(walls.cells.size(), 9u);
 }
 
 TEST(Coverage, DirectCoversOpenRoom) {
