@@ -104,8 +104,8 @@ TEST(Room, RandomInteriorPointRespectsMargin) {
   // wider, negative or NaN margin leaves no interior at all.
   const Room hall{5.0, 1.6};
   EXPECT_EQ(hall.random_interior_point(rng, 0.8).y, 0.8);
-  for (const double margin :
-       {0.81, 2.6, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double margin : {0.81, 2.6, -0.1, nan}) {
     EXPECT_THROW(hall.random_interior_point(rng, margin),
                  std::invalid_argument)
         << "margin " << margin;
