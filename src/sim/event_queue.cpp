@@ -7,64 +7,70 @@
 namespace movr::sim {
 
 EventQueue::EventId EventQueue::schedule(TimePoint when, Handler handler) {
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = std::move(handler);
   const EventId id = next_id_++;
-  heap_.push(Entry{when, next_seq_++, id, std::move(handler)});
+  heap_.push_back(Key{when, id, slot, false});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
   return id;
 }
 
-bool EventQueue::is_cancelled(EventId id) const {
-  return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-         cancelled_.end();
-}
-
 void EventQueue::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) {
-    return;
-  }
-  if (!is_cancelled(id)) {
-    cancelled_.push_back(id);
-    if (live_count_ > 0) {
-      --live_count_;
+  // Cancels are rare next to events (DESIGN.md §11.3 has the counts), so a
+  // scan of the pending keys beats keeping an index up to date on every
+  // event. A fired or running event has no key left, so cancelling it
+  // changes nothing.
+  for (Key& key : heap_) {
+    if (key.id == id) {
+      if (!key.cancelled) {
+        key.cancelled = true;
+        --live_count_;
+        drop_cancelled();
+      }
+      return;
     }
   }
 }
 
-void EventQueue::drop_cancelled() {
-  while (!heap_.empty() && is_cancelled(heap_.top().id)) {
-    const EventId id = heap_.top().id;
-    cancelled_.erase(std::remove(cancelled_.begin(), cancelled_.end(), id),
-                     cancelled_.end());
-    heap_.pop();
-  }
+EventQueue::Handler EventQueue::pop_front() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const std::uint32_t slot = heap_.back().slot;
+  heap_.pop_back();
+  free_slots_.push_back(slot);
+  return std::move(slots_[slot]);
 }
 
-bool EventQueue::empty() const {
-  // live_count_ already excludes cancelled-but-not-popped entries.
-  return live_count_ == 0;
+void EventQueue::drop_cancelled() {
+  while (!heap_.empty() && heap_.front().cancelled) {
+    pop_front();
+  }
 }
 
 TimePoint EventQueue::next_time() const {
-  auto* self = const_cast<EventQueue*>(this);
-  self->drop_cancelled();
   if (heap_.empty()) {
     throw std::logic_error{"EventQueue::next_time on empty queue"};
   }
-  return heap_.top().when;
+  return heap_.front().when;
 }
 
 TimePoint EventQueue::run_next() {
-  drop_cancelled();
   if (heap_.empty()) {
     throw std::logic_error{"EventQueue::run_next on empty queue"};
   }
-  // Move the handler out before popping: the handler may schedule new
-  // events, which mutates the heap.
-  Entry top = heap_.top();
-  heap_.pop();
+  const TimePoint when = heap_.front().when;
+  // Move the handler out of its slot before running it: the handler may
+  // schedule new events, which may reuse the slot or grow the pool.
+  const Handler handler = pop_front();
   --live_count_;
-  top.handler();
-  return top.when;
+  drop_cancelled();
+  handler();
+  return when;
 }
 
 }  // namespace movr::sim

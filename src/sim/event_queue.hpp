@@ -3,10 +3,14 @@
 // Ties are broken by insertion order so runs are deterministic — identical
 // seeds replay identical event sequences, which the replay property tests
 // assert.
+//
+// Handlers live in a pool of reused slots; the binary heap orders 24-byte
+// keys that name a slot. A handler moves into its slot when it is scheduled
+// and out of it when it runs, so heap maintenance never touches a handler
+// (DESIGN.md §11.3).
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include <sim/inplace_function.hpp>
@@ -27,11 +31,12 @@ class EventQueue {
   /// Schedules `handler` to run at absolute time `when`.
   EventId schedule(TimePoint when, Handler handler);
 
-  /// Cancels a pending event. Cancelling an already-fired or unknown id is
-  /// a no-op (the common race: an SNR-recovered event cancelling a timeout).
+  /// Cancels a pending event. Cancelling an already-fired, running or
+  /// unknown id is a no-op (the common race: an SNR-recovered event
+  /// cancelling a timeout).
   void cancel(EventId id);
 
-  bool empty() const;
+  bool empty() const { return live_count_ == 0; }
   std::size_t pending() const { return live_count_; }
 
   /// Time of the earliest pending event. Precondition: !empty().
@@ -42,27 +47,36 @@ class EventQueue {
   TimePoint run_next();
 
  private:
-  struct Entry {
+  /// Ids grow with every schedule, so (when, id) is insertion order among
+  /// equal timestamps.
+  struct Key {
     TimePoint when;
-    std::uint64_t seq;
     EventId id;
-    Handler handler;
+    std::uint32_t slot;
+    bool cancelled;
+  };
+  static_assert(sizeof(Key) == 24, "the cancelled flag must fit the padding");
 
-    bool operator>(const Entry& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
+  /// Orders the heap so its front is the earliest key.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.id > b.id;
     }
   };
 
+  /// Pops the front key and returns its slot to the free list, yielding the
+  /// handler that was stored there.
+  Handler pop_front();
+
+  /// Pops cancelled keys off the front, so the front is always live.
   void drop_cancelled();
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::vector<EventId> cancelled_;
-  std::uint64_t next_seq_{0};
+  std::vector<Key> heap_;
+  std::vector<Handler> slots_;
+  std::vector<std::uint32_t> free_slots_;
   EventId next_id_{1};
   std::size_t live_count_{0};
-
-  bool is_cancelled(EventId id) const;
 };
 
 }  // namespace movr::sim

@@ -9,11 +9,10 @@
 // allocation-free by construction, and callables that do not fit fail to
 // compile (static_assert) instead of silently spilling to the heap.
 //
-// Semantics are the slice of std::function the event queue needs: copyable
-// (the heap's top entry is copied out before popping), movable, callable,
-// empty-testable. Copyability of the stored callable is required — event
-// handlers capture PODs, pointers and std::function callbacks, all of
-// which copy.
+// Semantics are the slice of std::function the event queue needs: movable,
+// callable, empty-testable. It is move-only: the queue moves a handler into
+// its slot when it is scheduled and out of it when it runs, and never
+// copies one, so a stored callable need only be movable.
 #pragma once
 
 #include <cstddef>
@@ -41,22 +40,11 @@ class InplaceFunction<R(Args...), Capacity> {
                   "the capture or raise Capacity");
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "callable over-aligned for InplaceFunction buffer");
-    static_assert(std::is_copy_constructible_v<Fn>,
-                  "InplaceFunction requires a copyable callable");
     ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
     ops_ = &ops_for<Fn>;
   }
 
-  InplaceFunction(const InplaceFunction& other) { copy_from(other); }
   InplaceFunction(InplaceFunction&& other) noexcept { move_from(other); }
-
-  InplaceFunction& operator=(const InplaceFunction& other) {
-    if (this != &other) {
-      destroy();
-      copy_from(other);
-    }
-    return *this;
-  }
   InplaceFunction& operator=(InplaceFunction&& other) noexcept {
     if (this != &other) {
       destroy();
@@ -76,7 +64,6 @@ class InplaceFunction<R(Args...), Capacity> {
  private:
   struct Ops {
     R (*invoke)(const std::byte*, Args&&...);
-    void (*copy)(std::byte*, const std::byte*);
     void (*move)(std::byte*, std::byte*);
     void (*destroy)(std::byte*);
   };
@@ -89,21 +76,12 @@ class InplaceFunction<R(Args...), Capacity> {
         return (*const_cast<Fn*>(reinterpret_cast<const Fn*>(buf)))(
             std::forward<Args>(args)...);
       },
-      [](std::byte* dst, const std::byte* src) {
-        ::new (static_cast<void*>(dst)) Fn(*reinterpret_cast<const Fn*>(src));
-      },
       [](std::byte* dst, std::byte* src) {
         ::new (static_cast<void*>(dst)) Fn(std::move(*reinterpret_cast<Fn*>(src)));
       },
       [](std::byte* buf) { reinterpret_cast<Fn*>(buf)->~Fn(); },
   };
 
-  void copy_from(const InplaceFunction& other) {
-    if (other.ops_ != nullptr) {
-      other.ops_->copy(buffer_, other.buffer_);
-    }
-    ops_ = other.ops_;
-  }
   void move_from(InplaceFunction& other) noexcept {
     const Ops* ops = other.ops_;
     if (ops != nullptr) {

@@ -101,6 +101,9 @@ TEST(FaultRecovery, WatchdogBoundsReflectionSearch) {
   EXPECT_FALSE(result.completed);
   EXPECT_NE(result.failure_reason.find("watchdog"), std::string::npos);
   EXPECT_EQ(result.duration, config.watchdog);
+  // The watchdog's handler cancels its own id; run() must still drain the
+  // queue, so the brownout's 10 s clear runs.
+  EXPECT_TRUE(injector.timeline().front().cleared);
 }
 
 // Both alignment phases end the same way: under a total brownout each gives

@@ -29,6 +29,7 @@
 #include <geom/angle.hpp>
 #include <net/transport.hpp>
 #include <phy/mcs.hpp>
+#include <sim/event_queue.hpp>
 #include <sim/simulator.hpp>
 
 namespace movr::net {
@@ -49,6 +50,43 @@ TEST(NetAllocRegression, HookCountsAllocations) {
   const std::uint64_t allocs = testing::alloc_counter_stop();
   delete v;
   EXPECT_GE(allocs, 1u) << "operator-new hook is not interposing";
+}
+
+TEST(NetAllocRegression, WarmedEventQueueCycleIsHeapFree) {
+  // The first cycle grows the key heap, the handler slots and the free
+  // list; an identical second cycle reuses them. The cycle schedules equal
+  // timestamps, cancels pending ids (one twice) and lets handlers schedule
+  // follow-ups and cancel their own, already fired ids.
+  sim::EventQueue queue;
+  int fired = 0;
+  const auto cycle = [&] {
+    sim::EventQueue::EventId ids[64];
+    for (int i = 0; i < 64; ++i) {
+      ids[i] = queue.schedule(sim::TimePoint{i % 8}, [&, i] {
+        ++fired;
+        if (i % 8 == 1) {
+          queue.cancel(ids[i]);
+          queue.schedule(sim::TimePoint{9}, [&fired] { ++fired; });
+        }
+      });
+    }
+    for (int i = 0; i < 64; i += 4) {
+      queue.cancel(ids[i]);
+    }
+    queue.cancel(ids[4]);
+    while (!queue.empty()) {
+      queue.run_next();
+    }
+  };
+  cycle();
+  ASSERT_EQ(fired, 56);
+
+  testing::alloc_counter_start();
+  cycle();
+  const std::uint64_t allocs = testing::alloc_counter_stop();
+  EXPECT_EQ(allocs, 0u) << "a warmed event-queue cycle touched the heap "
+                        << allocs << " time(s)";
+  EXPECT_EQ(fired, 112);
 }
 
 TransportConfig steady_config() {

@@ -1,5 +1,8 @@
 #include <sim/event_queue.hpp>
 
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,6 +91,22 @@ TEST(EventQueue, DoubleCancelCountsOnce) {
   EXPECT_FALSE(q.empty());
 }
 
+TEST(EventQueue, CancelAfterFiringIsNoop) {
+  // A fired event has nothing left to cancel; cancelling it used to take
+  // one off the live count, so the queue read empty with B still queued.
+  EventQueue q;
+  bool b_fired = false;
+  const auto a = q.schedule(TimePoint{1}, [] {});
+  q.schedule(TimePoint{2}, [&] { b_fired = true; });
+  q.run_next();
+  q.cancel(a);
+  EXPECT_EQ(q.pending(), 1u);
+  ASSERT_FALSE(q.empty());
+  EXPECT_EQ(q.run_next(), TimePoint{2});
+  EXPECT_TRUE(b_fired);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, EmptyAfterCancellingEverything) {
   EventQueue q;
   const auto a = q.schedule(TimePoint{1}, [] {});
@@ -109,6 +128,182 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   q.schedule(TimePoint{7}, [] {});
   q.cancel(id);
   EXPECT_EQ(q.next_time(), TimePoint{7});
+}
+
+/// The queue's contract in its plainest form: the (when, id) pairs still
+/// queued, in order, and the ids cancelled while queued.
+class ReferenceQueue {
+ public:
+  using EventId = EventQueue::EventId;
+
+  EventId schedule(TimePoint when) {
+    queued_.insert({when, next_id_});
+    return next_id_++;
+  }
+  void cancel(EventId id) {
+    for (const auto& entry : queued_) {
+      if (entry.second == id) {
+        cancelled_.insert(id);
+        return;
+      }
+    }
+  }
+  std::size_t pending() const { return queued_.size() - cancelled_.size(); }
+  bool empty() const { return pending() == 0; }
+  /// The earliest live (when, id). Precondition: !empty().
+  std::pair<TimePoint, EventId> front() {
+    while (cancelled_.erase(queued_.begin()->second) == 1) {
+      queued_.erase(queued_.begin());
+    }
+    return *queued_.begin();
+  }
+  std::pair<TimePoint, EventId> pop_front() {
+    const auto entry = front();
+    queued_.erase(queued_.begin());
+    return entry;
+  }
+  /// An id no schedule has returned yet.
+  EventId unknown_id() const { return next_id_ + 7; }
+  /// A uniformly drawn queued id, cancelled or not. Precondition: something
+  /// is queued.
+  EventId any_queued(std::mt19937_64& rng) const {
+    auto it = queued_.begin();
+    std::advance(it, std::uniform_int_distribution<std::size_t>{
+                         0, queued_.size() - 1}(rng));
+    return it->second;
+  }
+  bool has_queued() const { return !queued_.empty(); }
+
+ private:
+  std::set<std::pair<TimePoint, EventId>> queued_;
+  std::set<EventId> cancelled_;
+  EventId next_id_{1};
+};
+
+/// Drives an EventQueue and the reference through the same seeded mix of
+/// schedules, cancels and runs, comparing them after every operation.
+/// Handlers act too: each records its id, then may schedule and cancel
+/// events, its own id included.
+class Differential {
+ public:
+  explicit Differential(std::uint64_t seed) : rng_{seed} {}
+
+  void run(int operations) {
+    for (int op = 0; op < operations && !::testing::Test::HasFailure(); ++op) {
+      if (!model_.empty() && coin(0.4)) {
+        run_one();
+      } else {
+        act();
+      }
+      check();
+    }
+    while (!model_.empty() && !::testing::Test::HasFailure()) {
+      run_one();
+      check();
+    }
+    EXPECT_TRUE(queue_.empty());
+    EXPECT_THROW(queue_.run_next(), std::logic_error);
+  }
+
+  std::size_t fired() const { return fired_.size(); }
+
+ private:
+  bool coin(double p) { return std::bernoulli_distribution{p}(rng_); }
+
+  void schedule() {
+    // A 4 ns window makes equal timestamps common.
+    const TimePoint when =
+        now_ + TimePoint{std::uniform_int_distribution<int>{0, 3}(rng_)};
+    const EventQueue::EventId expected = model_.schedule(when);
+    const EventQueue::EventId id =
+        queue_.schedule(when, [this, expected] {
+          fired_.push_back(expected);
+          act();
+        });
+    EXPECT_EQ(id, expected);
+  }
+
+  void cancel(EventQueue::EventId id) {
+    model_.cancel(id);
+    queue_.cancel(id);
+  }
+
+  /// One random action. Each call schedules 0.6 events on average, so the
+  /// cascade of handlers acting in turn dies out.
+  void act() {
+    switch (std::uniform_int_distribution<int>{0, 9}(rng_)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+        schedule();
+        break;
+      case 4:
+        schedule();
+        schedule();
+        break;
+      case 5:
+        if (model_.has_queued()) {
+          cancel(model_.any_queued(rng_));
+        }
+        break;
+      case 6:
+        if (!fired_.empty()) {
+          // Inside a handler the newest fired id is the running event's own.
+          cancel(coin(0.5) ? fired_.back()
+                           : fired_[std::uniform_int_distribution<std::size_t>{
+                                 0, fired_.size() - 1}(rng_)]);
+        }
+        break;
+      case 7:
+        cancel(coin(0.5) ? 0 : model_.unknown_id());
+        break;
+      case 8:
+        if (model_.has_queued()) {
+          const EventQueue::EventId id = model_.any_queued(rng_);
+          cancel(id);
+          cancel(id);
+        }
+        break;
+      default:
+        break;
+    }
+  }
+
+  void run_one() {
+    const auto [when, id] = model_.pop_front();
+    now_ = when;
+    const std::size_t before = fired_.size();
+    EXPECT_EQ(queue_.run_next(), when);
+    ASSERT_GT(fired_.size(), before);
+    EXPECT_EQ(fired_[before], id);
+  }
+
+  void check() {
+    ASSERT_EQ(queue_.pending(), model_.pending());
+    ASSERT_EQ(queue_.empty(), model_.empty());
+    if (!model_.empty()) {
+      ASSERT_EQ(queue_.next_time(), model_.front().first);
+    }
+  }
+
+  std::mt19937_64 rng_;
+  EventQueue queue_;
+  ReferenceQueue model_;
+  std::vector<EventQueue::EventId> fired_;
+  TimePoint now_{0};
+};
+
+TEST(EventQueue, MatchesReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Differential run{seed};
+    run.run(400);
+    EXPECT_GT(run.fired(), 0u);
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
 }
 
 }  // namespace

@@ -87,6 +87,34 @@ TEST(Simulator, CancelPending) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Simulator, SelfCancellingHandlerKeepsLaterEvents) {
+  // SearchPhase::finish cancels its watchdog from inside the watchdog's own
+  // handler. That cancel must not cost a later event its turn.
+  {
+    Simulator s;
+    EventQueue::EventId self = 0;
+    bool later_fired = false;
+    self = s.after(Duration{1}, [&] { s.cancel(self); });
+    s.after(Duration{2}, [&] { later_fired = true; });
+    s.run();
+    EXPECT_TRUE(later_fired);
+    EXPECT_EQ(s.now(), TimePoint{2});
+    EXPECT_EQ(s.pending_events(), 0u);
+  }
+  {
+    Simulator s;
+    EventQueue::EventId self = 0;
+    int later_fired = 0;
+    self = s.after(Duration{1}, [&] { s.cancel(self); });
+    for (int i = 2; i <= 5; ++i) {
+      s.after(Duration{i}, [&] { ++later_fired; });
+    }
+    s.run_until(TimePoint{10});
+    EXPECT_EQ(later_fired, 4);
+    EXPECT_EQ(s.pending_events(), 0u);
+  }
+}
+
 TEST(Simulator, SafetyValveTripsOnEventCount) {
   Simulator s;
   s.set_safety_valve({.max_events = 100, .max_time = Duration::zero()});
