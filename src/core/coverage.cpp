@@ -91,6 +91,10 @@ CoverageMap compute_coverage(const Scene& scene, double resolution_m,
   map.cells_y = axis_cells(scene.room().depth(), resolution_m, wall_margin_m);
   const std::size_t total = static_cast<std::size_t>(map.cells_x) *
                             static_cast<std::size_t>(map.cells_y);
+  if (total > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument{
+        "compute_coverage: the grid must fit at most INT_MAX cells"};
+  }
   map.cells.resize(total);
 
   const auto cell_position = [&](std::size_t i) -> geom::Vec2 {

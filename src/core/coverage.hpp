@@ -50,9 +50,9 @@ struct CoverageMap {
 /// passed scene itself is never touched — split across `threads` workers
 /// (0 = one per hardware thread). Results are identical for every thread
 /// count: each cell's evaluation is independent and order-free. Throws
-/// std::invalid_argument unless `resolution_m` is finite and > 0,
-/// `wall_margin_m` is finite and >= 0, and each axis fits between one and
-/// INT_MAX cells.
+/// std::invalid_argument, before allocating, unless `resolution_m` is finite
+/// and > 0, `wall_margin_m` is finite and >= 0, each axis fits between one
+/// and INT_MAX cells, and the whole grid fits at most INT_MAX cells.
 CoverageMap compute_coverage(const Scene& scene, double resolution_m = 0.25,
                              double wall_margin_m = 0.5,
                              unsigned threads = 0);

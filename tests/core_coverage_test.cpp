@@ -40,7 +40,9 @@ TEST(Coverage, GridDimensions) {
 TEST(Coverage, RejectsGridsItCannotEvaluate) {
   // A margin wider than half the room used to give cells_x = cells_y = -7
   // and 49 cells outside the room; a resolution <= 0 or non-finite gave
-  // negative counts or cast a non-finite count to int.
+  // negative counts or cast a non-finite count to int. At 1e-4 m each axis
+  // fits an int but the grid, 80,001^2 cells, does not: it used to size
+  // about 256 GB of cells.
   const Scene scene{channel::Room{8.0, 8.0}, ApRadio{{0.4, 0.4}, 0.0},
                     HeadsetRadio{{4.0, 4.0}, 0.0}};
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -51,6 +53,7 @@ TEST(Coverage, RejectsGridsItCannotEvaluate) {
                  std::invalid_argument)
         << "resolution_m " << resolution;
   }
+  EXPECT_THROW(compute_coverage(scene, 1e-4, 0.0), std::invalid_argument);
   for (const double margin : {-0.1, nan, inf}) {
     EXPECT_THROW(compute_coverage(scene, 0.25, margin), std::invalid_argument)
         << "wall_margin_m " << margin;
