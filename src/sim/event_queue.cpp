@@ -7,13 +7,14 @@
 namespace movr::sim {
 
 EventQueue::EventId EventQueue::schedule(TimePoint when, Handler handler) {
+  std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
   if (free_slots_.empty()) {
-    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
-    slots_.emplace_back();
+    slots_.push_back(std::move(handler));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(handler);
   }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  slots_[slot] = std::move(handler);
   const EventId id = next_id_++;
   heap_.push_back(Key{when, id, slot, false});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
