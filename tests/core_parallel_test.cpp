@@ -298,19 +298,29 @@ TEST(ParallelPlacement, RoundScoringMatchesPerCandidateReference) {
   config.mount_spacing_m = 1.6;
   config.max_reflectors = 3;
   config.target_outage = 0.0;
-  // A stricter bar than the default keeps both rooms above zero outage
-  // until the third round.
-  config.required_snr = rf::Decibels{25.0};
   const geom::Vec2 ap{0.4, 0.4};
-  for (const channel::Room& room :
-       {channel::Room::paper_office(), channel::Room{5.0, 5.0}}) {
+  // A stricter bar than the default keeps both rooms above zero outage
+  // until the third round. The last case pins the stream contract: were
+  // every mount ramped from the trial's stream itself instead of its own
+  // copy, its plan would pick other mounts first.
+  struct Case {
+    channel::Room room;
+    double required_snr_db;
+    std::uint64_t seed;
+  };
+  for (const Case& c : {Case{channel::Room::paper_office(), 25.0, 1},
+                        Case{channel::Room{5.0, 5.0}, 25.0, 1},
+                        Case{channel::Room{5.0, 5.0}, 28.0, 29}}) {
+    SCOPED_TRACE(c.seed);
+    config.required_snr = rf::Decibels{c.required_snr_db};
     config.threads = 1;
-    const PlacementPlan expected = reference_plan(config, 1, room, ap);
+    const PlacementPlan expected = reference_plan(config, c.seed, c.room, ap);
     // Three mounts: the last round scores against a two-mount prefix.
     ASSERT_EQ(expected.chosen.size(), 3u);
     for (const unsigned threads : {1u, 4u}) {
       config.threads = threads;
-      const PlacementPlan plan = PlacementPlanner{config, 1}.plan(room, ap);
+      const PlacementPlan plan =
+          PlacementPlanner{config, c.seed}.plan(c.room, ap);
       ASSERT_EQ(plan.chosen.size(), expected.chosen.size());
       for (std::size_t i = 0; i < plan.chosen.size(); ++i) {
         EXPECT_EQ(plan.chosen[i].position, expected.chosen[i].position);
