@@ -1,7 +1,9 @@
 #include <sim/event_queue.hpp>
 
+#include <iterator>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -92,8 +94,8 @@ TEST(EventQueue, DoubleCancelCountsOnce) {
 }
 
 TEST(EventQueue, CancelAfterFiringIsNoop) {
-  // A fired event has nothing left to cancel; cancelling it used to take
-  // one off the live count, so the queue read empty with B still queued.
+  // A fired event has nothing left to cancel: the live count and the
+  // later event must not change.
   EventQueue q;
   bool b_fired = false;
   const auto a = q.schedule(TimePoint{1}, [] {});
@@ -164,15 +166,13 @@ class ReferenceQueue {
   }
   /// An id no schedule has returned yet.
   EventId unknown_id() const { return next_id_ + 7; }
-  /// A uniformly drawn queued id, cancelled or not. Precondition: something
-  /// is queued.
-  EventId any_queued(std::mt19937_64& rng) const {
-    auto it = queued_.begin();
-    std::advance(it, std::uniform_int_distribution<std::size_t>{
-                         0, queued_.size() - 1}(rng));
-    return it->second;
+  /// Queued entries, cancelled ones included.
+  std::size_t queued() const { return queued_.size(); }
+  /// The id of queued entry `i` in (when, id) order. Precondition:
+  /// i < queued().
+  EventId queued_id(std::size_t i) const {
+    return std::next(queued_.begin(), static_cast<std::ptrdiff_t>(i))->second;
   }
-  bool has_queued() const { return !queued_.empty(); }
 
  private:
   std::set<std::pair<TimePoint, EventId>> queued_;
@@ -209,17 +209,19 @@ class Differential {
 
  private:
   bool coin(double p) { return std::bernoulli_distribution{p}(rng_); }
+  /// Uniform in [0, n). Precondition: n > 0.
+  std::size_t draw(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>{0, n - 1}(rng_);
+  }
 
   void schedule() {
     // A 4 ns window makes equal timestamps common.
-    const TimePoint when =
-        now_ + TimePoint{std::uniform_int_distribution<int>{0, 3}(rng_)};
+    const TimePoint when = now_ + TimePoint{static_cast<int>(draw(4))};
     const EventQueue::EventId expected = model_.schedule(when);
-    const EventQueue::EventId id =
-        queue_.schedule(when, [this, expected] {
-          fired_.push_back(expected);
-          act();
-        });
+    const EventQueue::EventId id = queue_.schedule(when, [this, expected] {
+      fired_.push_back(expected);
+      act();
+    });
     EXPECT_EQ(id, expected);
   }
 
@@ -231,7 +233,7 @@ class Differential {
   /// One random action. Each call schedules 0.6 events on average, so the
   /// cascade of handlers acting in turn dies out.
   void act() {
-    switch (std::uniform_int_distribution<int>{0, 9}(rng_)) {
+    switch (draw(10)) {
       case 0:
       case 1:
       case 2:
@@ -243,24 +245,23 @@ class Differential {
         schedule();
         break;
       case 5:
-        if (model_.has_queued()) {
-          cancel(model_.any_queued(rng_));
+        if (model_.queued() > 0) {
+          cancel(model_.queued_id(draw(model_.queued())));
         }
         break;
       case 6:
         if (!fired_.empty()) {
           // Inside a handler the newest fired id is the running event's own.
-          cancel(coin(0.5) ? fired_.back()
-                           : fired_[std::uniform_int_distribution<std::size_t>{
-                                 0, fired_.size() - 1}(rng_)]);
+          cancel(coin(0.5) ? fired_.back() : fired_[draw(fired_.size())]);
         }
         break;
       case 7:
         cancel(coin(0.5) ? 0 : model_.unknown_id());
         break;
       case 8:
-        if (model_.has_queued()) {
-          const EventQueue::EventId id = model_.any_queued(rng_);
+        if (model_.queued() > 0) {
+          const EventQueue::EventId id =
+              model_.queued_id(draw(model_.queued()));
           cancel(id);
           cancel(id);
         }
