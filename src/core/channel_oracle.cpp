@@ -25,13 +25,21 @@ std::int64_t round_away(double v) {
   return static_cast<std::int64_t>(v + std::copysign(0.5, v));
 }
 
+/// The next cache generation: process-wide, so that no two oracles' caches
+/// share one, and starting at 1, so that a zeroed key never matches.
+std::uint64_t next_generation() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 }  // namespace
 
 ChannelOracle::ChannelOracle(const channel::Room& room, Config config)
     : solver_{room, config.solver},
       config_{config},
       inv_quantum_{1.0 / config.quantum_m},
-      seen_revision_{room.revision()} {}
+      seen_revision_{room.revision()},
+      generation_{next_generation()} {}
 
 std::uint64_t ChannelOracle::hash_key(const Key& k) {
   // Four independent multiplies (ILP) folded by one splitmix round: enough
@@ -92,6 +100,7 @@ void ChannelOracle::PathCache::clear() {
 void ChannelOracle::drop_cache_locked() const {
   cache_.clear();
   ++stats_.invalidations;
+  generation_.store(next_generation(), std::memory_order_relaxed);
 }
 
 void ChannelOracle::check_revision_locked() const {

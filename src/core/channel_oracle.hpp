@@ -29,6 +29,7 @@
 // Room mutation requires the same external exclusion the Room itself needs.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -79,6 +80,18 @@ class ChannelOracle {
   /// Rebinds to `room` (e.g. after the owning Scene moved) and drops the
   /// cache — a different Room object shares no revision history.
   void rebind(const channel::Room& room);
+
+  /// Names the cache's current contents. Drawn from a process-wide counter
+  /// (never 0) at construction and again at every cache drop (revision
+  /// bump, rebind, size cap), so no two caches, of this oracle or any
+  /// other, share one. paths_view only ever returns a view the cache keeps
+  /// until its next drop, so within one generation a view's address names
+  /// one path set: (generation(), view address) is a path set's identity
+  /// (Scene's hop memos key on it). Read it after the paths_view call,
+  /// which may drop the cache.
+  std::uint64_t generation() const {
+    return generation_.load(std::memory_order_relaxed);
+  }
 
   struct Stats {
     std::uint64_t queries{0};
@@ -182,6 +195,8 @@ class ChannelOracle {
   mutable PathCache cache_;
   mutable std::uint64_t seen_revision_;
   mutable Stats stats_;
+  /// Written under mutex_; atomic so that generation() reads it lock-free.
+  mutable std::atomic<std::uint64_t> generation_;
 
   // Batch scratch, guarded by mutex_; capacity persists across calls so a
   // warmed query_batch allocates nothing.

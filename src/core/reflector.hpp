@@ -9,12 +9,15 @@
 // the protocols in angle_search.hpp and gain_control.hpp.
 #pragma once
 
+#include <core/hop_memo.hpp>
 #include <geom/angle.hpp>
 #include <geom/vec2.hpp>
 #include <hw/front_end.hpp>
 #include <sim/control_channel.hpp>
 
 namespace movr::core {
+
+class Scene;
 
 class MovrReflector {
  public:
@@ -70,6 +73,15 @@ class MovrReflector {
   std::uint64_t unknown_messages_{0};
   std::uint64_t rejected_messages_{0};
   std::uint32_t boot_epoch_{0};
+
+  // Scene::reflector_input's hop (AP -> RX array) and via_snr's relay hop
+  // (TX array -> headset), memoised here rather than in a Scene so that
+  // they follow the reflector, which any scene may be asked about. Written
+  // by const queries: like its scene, a reflector is used by one thread at
+  // a time.
+  friend class Scene;
+  mutable HopMemo input_memo_;
+  mutable HopMemo relay_memo_;
 };
 
 }  // namespace movr::core

@@ -1,5 +1,7 @@
 #include <core/scene.hpp>
 
+#include <bit>
+
 #include <rf/noise.hpp>
 #include <rf/propagation.hpp>
 
@@ -11,6 +13,21 @@ ChannelOracle::Config oracle_config(const Scene::Config& config) {
   ChannelOracle::Config oracle;
   oracle.solver = {config.link.carrier_hz, 2, rf::Decibels{60.0}};
   return oracle;
+}
+
+/// The memo key of a hop over `paths`, which `oracle` has just returned
+/// (its generation is read after the query, which may have dropped the
+/// cache).
+HopMemo::Key hop_key(const ChannelOracle& oracle,
+                     const ChannelOracle::PathsView& paths,
+                     rf::DbmPower tx_power, double tx_orientation,
+                     const rf::PhasedArray& tx_array, double rx_orientation,
+                     const rf::PhasedArray& rx_array) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return {oracle.generation(),       paths.get(),
+          bits(tx_power.value()),    bits(tx_orientation),
+          bits(tx_array.steering()), bits(rx_orientation),
+          bits(rx_array.steering())};
 }
 
 }  // namespace
@@ -60,10 +77,13 @@ void Scene::prefetch_paths(const channel::EndpointBatch& batch) const {
 }
 
 rf::DbmPower Scene::direct_power() const {
-  const auto paths =
-      paths_view(ap_.node().position(), headset_.node().position());
-  return phy::received_power(ap_.node(), headset_.node(), *paths,
-                             config_.link);
+  const phy::RadioNode& ap = ap_.node();
+  const phy::RadioNode& headset = headset_.node();
+  const auto paths = paths_view(ap.position(), headset.position());
+  return direct_memo_.get(
+      hop_key(*oracle_, paths, ap.tx_power(), ap.orientation(), ap.array(),
+              headset.orientation(), headset.array()),
+      [&] { return phy::received_power(ap, headset, *paths, config_.link); });
 }
 
 rf::Decibels Scene::direct_snr() const {
@@ -71,16 +91,21 @@ rf::Decibels Scene::direct_snr() const {
 }
 
 rf::DbmPower Scene::reflector_input(const MovrReflector& reflector) const {
-  const auto paths =
-      paths_view(ap_.node().position(), reflector.position());
+  const phy::RadioNode& ap = ap_.node();
+  const auto paths = paths_view(ap.position(), reflector.position());
   const auto& rx_array = reflector.front_end().rx_array();
-  return phy::path_power(
-      ap_.node().tx_power(), *paths,
-      [&](double az) { return ap_.node().response_toward(az); },
-      [&](double az) {
-        return phy::array_response(rx_array, reflector.to_local(az));
-      },
-      config_.link, config_.tx_side_loss);
+  return reflector.input_memo_.get(
+      hop_key(*oracle_, paths, ap.tx_power(), ap.orientation(), ap.array(),
+              reflector.orientation(), rx_array),
+      [&] {
+        return phy::path_power(
+            ap.tx_power(), *paths,
+            [&](double az) { return ap.response_toward(az); },
+            [&](double az) {
+              return phy::array_response(rx_array, reflector.to_local(az));
+            },
+            config_.link, config_.tx_side_loss);
+      });
 }
 
 Scene::ViaResult Scene::via_snr(const MovrReflector& reflector) const {
@@ -89,16 +114,22 @@ Scene::ViaResult Scene::via_snr(const MovrReflector& reflector) const {
   result.front_end = reflector.front_end().process(input);
   result.usable = result.front_end.stable && !result.front_end.saturated;
 
-  const auto paths =
-      paths_view(reflector.position(), headset_.node().position());
+  const phy::RadioNode& headset = headset_.node();
+  const auto paths = paths_view(reflector.position(), headset.position());
   const auto& tx_array = reflector.front_end().tx_array();
-  const rf::DbmPower relayed = phy::path_power(
-      result.front_end.output, *paths,
-      [&](double az) {
-        return phy::array_response(tx_array, reflector.to_local(az));
-      },
-      [&](double az) { return headset_.node().response_toward(az); },
-      config_.link, config_.rx_side_loss);
+  const rf::DbmPower relayed = reflector.relay_memo_.get(
+      hop_key(*oracle_, paths, result.front_end.output,
+              reflector.orientation(), tx_array, headset.orientation(),
+              headset.array()),
+      [&] {
+        return phy::path_power(
+            result.front_end.output, *paths,
+            [&](double az) {
+              return phy::array_response(tx_array, reflector.to_local(az));
+            },
+            [&](double az) { return headset.response_toward(az); },
+            config_.link, config_.rx_side_loss);
+      });
   result.at_headset = relayed;
 
   const rf::DbmPower direct = direct_power();

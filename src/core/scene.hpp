@@ -16,6 +16,7 @@
 #include <core/channel_oracle.hpp>
 #include <core/gain_control.hpp>
 #include <core/headset.hpp>
+#include <core/hop_memo.hpp>
 #include <core/reflector.hpp>
 #include <hw/front_end.hpp>
 #include <phy/link.hpp>
@@ -91,6 +92,13 @@ class Scene {
   /// per-cell steering never races.
   Scene clone() const;
 
+  // The three hops below each keep their last evaluation (HopMemo): a
+  // query whose path set, transmitter power, orientations and steerings
+  // are bit-identical to the last one returns the same power without
+  // summing the paths again. The path set is still fetched, so oracle
+  // stats count every query. Queries write the memos, so a Scene, and any
+  // reflector it is asked about, is used by one thread at a time.
+
   /// Direct AP -> headset received power / SNR with current steerings.
   rf::DbmPower direct_power() const;
   rf::Decibels direct_snr() const;
@@ -158,6 +166,8 @@ class Scene {
   /// (parallel evaluators clone one per worker); the oracle underneath is
   /// the synchronized layer.
   mutable std::vector<ChannelOracle::PathsView> prefetch_scratch_;
+  /// direct_power's memo (the reflector hops' live in MovrReflector).
+  mutable HopMemo direct_memo_;
 };
 
 }  // namespace movr::core

@@ -1,7 +1,9 @@
 #include <rf/phased_array.hpp>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include <geom/angle.hpp>
@@ -30,11 +32,20 @@ PhasedArray::PhasedArray(const Config& config)
   field_floor_power_ = std::max(config_.scattering_floor.linear(), 1e-12);
   field_floor_ = std::sqrt(field_floor_power_);
   weights_.resize(static_cast<std::size_t>(config_.elements));
-  steer(steering_);
+  refresh_weights();
 }
 
 void PhasedArray::steer(double local_angle_rad) {
-  steering_ = movr::geom::wrap_two_pi(local_angle_rad);
+  const double wrapped = movr::geom::wrap_two_pi(local_angle_rad);
+  if (std::bit_cast<std::uint64_t>(wrapped) ==
+      std::bit_cast<std::uint64_t>(steering_)) {
+    return;
+  }
+  steering_ = wrapped;
+  refresh_weights();
+}
+
+void PhasedArray::refresh_weights() {
   // Progressive phase: element i is advanced so that contributions add in
   // phase toward the steering angle. k*d in radians per element:
   const double kd = kTwoPi * config_.spacing_wavelengths;

@@ -39,15 +39,25 @@ class PhasedArray {
     int phase_bits{0};
   };
 
+  /// The steering of a newly built array (local radians, pi/2).
+  static constexpr double kBoresight = 1.5707963267948966;
+
   PhasedArray() : PhasedArray(Config{}) {}
   explicit PhasedArray(const Config& config);
 
+  /// Fixed for the array's lifetime: there is no setter, and no code
+  /// replaces a built array by assignment (ReflectorFrontEnd::power_cycle
+  /// re-steers its arrays to kBoresight instead). So the realised pattern
+  /// is a function of steering() alone, and core::Scene's hop memos key an
+  /// array's state on its steering bits without the config.
   const Config& config() const { return config_; }
 
   /// Points the main beam at `local_angle_rad` (radians, boresight = pi/2).
   /// Models electronic steering: per-element phase commands through the
   /// phase shifters. Sub-microsecond in hardware; the simulator charges
-  /// Config-independent fixed time for it at the protocol layer.
+  /// Config-independent fixed time for it at the protocol layer. A steer
+  /// whose wrapped angle has the current steering's bits is a no-op: the
+  /// weights already realise it.
   void steer(double local_angle_rad);
 
   double steering() const { return steering_; }
@@ -106,8 +116,9 @@ class PhasedArray {
  private:
   Config config_;
   PhaseShifter shifter_;
-  double steering_{1.5707963267948966};  // boresight
-  /// e^{j phase_i} of each element's realised phase, refreshed by steer().
+  double steering_{kBoresight};
+  /// e^{j phase_i} of each element's realised phase at steering_, refreshed
+  /// by refresh_weights().
   std::vector<std::complex<double>> weights_;
   /// Amplitude-domain constants of the config, for response_scale() and
   /// response(): sqrt(N x element gain) in front of and behind the ground
@@ -119,6 +130,7 @@ class PhasedArray {
   double field_floor_power_{0.0};
   double field_floor_{0.0};
 
+  void refresh_weights();
   std::complex<double> array_base(double local_angle_rad) const;
   std::complex<double> horner(std::complex<double> z) const;
   double element_pattern_db(double local_angle_rad) const;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 
 #include <geom/angle.hpp>
 #include <hw/front_end.hpp>
@@ -153,6 +156,33 @@ TEST(FrontEnd, ProcessIsolationFollowsSteering) {
   expect_model(fe);
   fe = copy;
   expect_model(fe);
+}
+
+TEST(FrontEnd, PowerCycleRestoresFreshArrays) {
+  // power_cycle re-steers both arrays to boresight instead of building new
+  // ones: the result must match a fresh front end's arrays bit for bit,
+  // with the config unchanged.
+  ReflectorFrontEnd::Config config;
+  config.array.phase_bits = 3;
+  ReflectorFrontEnd fe{config};
+  fe.steer_rx(deg_to_rad(65.0));
+  fe.steer_tx(deg_to_rad(110.0));
+  fe.power_cycle();
+  const ReflectorFrontEnd fresh{config};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& [cycled, built] :
+       {std::pair{&fe.rx_array(), &fresh.rx_array()},
+        std::pair{&fe.tx_array(), &fresh.tx_array()}}) {
+    EXPECT_TRUE(cycled->shares_look(*built));
+    EXPECT_EQ(cycled->config().phase_bits, built->config().phase_bits);
+    EXPECT_EQ(bits(cycled->steering()), bits(built->steering()));
+    for (double angle = 0.0; angle < 6.3; angle += 0.07) {
+      const auto a = cycled->field(angle);
+      const auto b = built->field(angle);
+      EXPECT_EQ(bits(a.real()), bits(b.real())) << angle;
+      EXPECT_EQ(bits(a.imag()), bits(b.imag())) << angle;
+    }
+  }
 }
 
 TEST(FrontEnd, GainCodeMonotone) {

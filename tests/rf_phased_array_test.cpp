@@ -1,7 +1,10 @@
 #include <rf/phased_array.hpp>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -218,6 +221,71 @@ TEST(PhasedArray, FieldMatchesPerElementSum) {
               << steering << ", angle " << angle;
         }
       }
+    }
+  }
+}
+
+/// The bits of a field value, for comparisons that must be exact.
+std::pair<std::uint64_t, std::uint64_t> field_bits(const PhasedArray& array,
+                                                   double angle) {
+  const std::complex<double> f = array.field(angle);
+  return {std::bit_cast<std::uint64_t>(f.real()),
+          std::bit_cast<std::uint64_t>(f.imag())};
+}
+
+/// Look angles over the front sector, both endfires and the back lobe.
+std::vector<double> look_angles() {
+  std::vector<double> angles{0.0, kPi / 2.0, kPi, 1.5 * kPi};
+  for (double a = 0.013; a < movr::geom::kTwoPi; a += 0.091) {
+    angles.push_back(a);
+  }
+  return angles;
+}
+
+TEST(PhasedArray, DefaultArrayHasBoresightWeights) {
+  // A never-steered array computes its weights in the constructor; a
+  // steer to its own steering is skipped, so it cannot be what sets them.
+  for (const int bits : {0, 3}) {
+    PhasedArray::Config config;
+    config.phase_bits = bits;
+    const PhasedArray fresh{config};
+    EXPECT_EQ(fresh.steering(), kPi / 2.0);
+    EXPECT_NEAR(std::abs(fresh.field(kPi / 2.0)), 1.0, 1e-12);
+    PhasedArray resteered{config};
+    resteered.steer(1.0);
+    resteered.steer(PhasedArray::kBoresight);
+    for (const double angle : look_angles()) {
+      EXPECT_EQ(field_bits(fresh, angle), field_bits(resteered, angle))
+          << bits << " bits, angle " << angle;
+    }
+  }
+}
+
+TEST(PhasedArray, SkippedSteerKeepsFieldBits) {
+  // steer() skips an angle equal to the current steering bit for bit: a
+  // return to an earlier steering, and a repeated steer, must leave the
+  // same weights as one steer of a fresh array.
+  const double x = deg_to_rad(63.0);
+  const double y = deg_to_rad(118.0);
+  for (const int bits : {0, 3}) {
+    PhasedArray::Config config;
+    config.phase_bits = bits;
+    PhasedArray once{config};
+    once.steer(x);
+    PhasedArray back{config};
+    back.steer(x);
+    back.steer(y);
+    back.steer(x);
+    PhasedArray twice{config};
+    twice.steer(x);
+    twice.steer(x);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.steering()),
+              std::bit_cast<std::uint64_t>(once.steering()));
+    for (const double angle : look_angles()) {
+      EXPECT_EQ(field_bits(back, angle), field_bits(once, angle))
+          << bits << " bits, angle " << angle;
+      EXPECT_EQ(field_bits(twice, angle), field_bits(once, angle))
+          << bits << " bits, angle " << angle;
     }
   }
 }
