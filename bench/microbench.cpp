@@ -255,10 +255,20 @@ void BM_CoverageMap(benchmark::State& state) {
 BENCHMARK(BM_CoverageMap)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// Scene's hop memos return a repeated query's power without evaluating the
+// link, so the two link benchmarks below turn the ends' mountings between
+// two orientations 1e-6 rad apart on every iteration: each iteration
+// evaluates every hop it reads once.
+
 void BM_LinkSnr(benchmark::State& state) {
   auto scene = make_scene();
   scene.aim_direct();
+  phy::RadioNode& headset = scene.headset().node();
+  const double mounting = headset.orientation();
+  int turn = 0;
   for (auto _ : state) {
+    turn ^= 1;
+    headset.set_orientation(mounting + 1e-6 * turn);
     benchmark::DoNotOptimize(scene.direct_snr().value());
   }
 }
@@ -272,7 +282,17 @@ void BM_ViaReflectorSnr(benchmark::State& state) {
       scene.true_reflector_angle_to_headset(reflector));
   reflector.front_end().set_gain_code(200);
   scene.aim_via(reflector);
+  // The AP's turn changes the direct and reflector-input hops, the
+  // headset's the direct and relay hops.
+  phy::RadioNode& ap = scene.ap().node();
+  phy::RadioNode& headset = scene.headset().node();
+  const double ap_mounting = ap.orientation();
+  const double headset_mounting = headset.orientation();
+  int turn = 0;
   for (auto _ : state) {
+    turn ^= 1;
+    ap.set_orientation(ap_mounting + 1e-6 * turn);
+    headset.set_orientation(headset_mounting + 1e-6 * turn);
     benchmark::DoNotOptimize(scene.via_snr(reflector).snr.value());
   }
 }
