@@ -27,6 +27,8 @@
 // mutex around the cache); any number of threads may query one oracle
 // concurrently as long as nobody mutates the bound Room at the same time.
 // Room mutation requires the same external exclusion the Room itself needs.
+// A path set's (generation(), view address) identity is the exception: it
+// holds only while one thread queries the oracle (see generation()).
 #pragma once
 
 #include <atomic>
@@ -88,7 +90,11 @@ class ChannelOracle {
   /// until its next drop, so within one generation a view's address names
   /// one path set: (generation(), view address) is a path set's identity
   /// (Scene's hop memos key on it). Read it after the paths_view call,
-  /// which may drop the cache.
+  /// which may drop the cache. The pair is sound only if no other thread
+  /// queries this oracle between the two calls: its miss may reach the
+  /// size cap and drop the cache, and the pair would then name the new
+  /// generation with a view that the drop released, whose address a later
+  /// path set of that generation may take.
   std::uint64_t generation() const {
     return generation_.load(std::memory_order_relaxed);
   }

@@ -96,8 +96,10 @@ class Scene {
   // query whose path set, transmitter power, orientations and steerings
   // are bit-identical to the last one returns the same power without
   // summing the paths again. The path set is still fetched, so oracle
-  // stats count every query. Queries write the memos, so a Scene, and any
-  // reflector it is asked about, is used by one thread at a time.
+  // stats count every query. Queries write the memos and key them on the
+  // oracle's generation (ChannelOracle::generation), so a Scene, its
+  // oracle and any reflector it is asked about are used by one thread at
+  // a time; parallel evaluators give each worker a clone.
 
   /// Direct AP -> headset received power / SNR with current steerings.
   rf::DbmPower direct_power() const;

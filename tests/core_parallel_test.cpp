@@ -19,6 +19,7 @@
 #include <core/placement.hpp>
 #include <core/scene.hpp>
 #include <geom/angle.hpp>
+#include <phy/link.hpp>
 #include <sim/rng.hpp>
 
 namespace movr::core {
@@ -332,18 +333,32 @@ TEST(ParallelPlacement, RoundScoringMatchesPerCandidateReference) {
 }
 
 TEST(SharedOracle, ConcurrentConstQueriesAreSafe) {
-  // Scene::paths_view is const and internally synchronized: many
-  // threads may interrogate one scene as long as nobody mutates it. Under
-  // -DMOVR_SANITIZE=thread this is the mutex's proof obligation.
+  // ChannelOracle's queries are const and internally synchronized: many
+  // threads may query one oracle as long as nobody mutates its room. A
+  // Scene's own queries write its hop memos (core/hop_memo.hpp), so a
+  // Scene is used by one thread at a time: each reader sums the direct hop
+  // itself over the shared oracle's views, and queries a clone of its own,
+  // as the parallel evaluators do. Under -DMOVR_SANITIZE=thread this is the
+  // mutex's proof obligation.
   const Scene scene = deployed_scene();
-  const auto expected = scene.direct_snr().value();  // warms the cache
+  const phy::RadioNode& ap = scene.ap().node();
+  const phy::RadioNode& headset = scene.headset().node();
+  const ChannelOracle& oracle = scene.oracle();
+  const auto expected = scene.direct_power().value();  // warms the cache
   const auto warm = scene.oracle_stats();
   std::vector<std::thread> readers;
   std::atomic<int> mismatches{0};
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
+      const Scene local = scene.clone();  // its own oracle and cold memos
+      if (local.direct_power().value() != expected) {
+        mismatches.fetch_add(1);
+      }
       for (int i = 0; i < 200; ++i) {
-        if (scene.direct_snr().value() != expected) {
+        const auto paths =
+            oracle.paths_view(ap.position(), headset.position());
+        if (phy::received_power(ap, headset, *paths, scene.config().link)
+                .value() != expected) {
           mismatches.fetch_add(1);
         }
       }
