@@ -16,10 +16,8 @@ ReflectorFrontEnd::ReflectorFrontEnd(const Config& config)
 }
 
 void ReflectorFrontEnd::power_cycle() {
-  // Re-steering to boresight gives the arrays a fresh array's weights, bit
-  // for bit, and keeps their configs fixed (rf::PhasedArray::config).
-  rx_.steer(rf::PhasedArray::kBoresight);
-  tx_.steer(rf::PhasedArray::kBoresight);
+  rx_ = rf::PhasedArray{config_.array};
+  tx_ = rf::PhasedArray{config_.array};
   modulating_ = false;
   set_gain_code(0);
 }

@@ -39,17 +39,15 @@ class PhasedArray {
     int phase_bits{0};
   };
 
-  /// The steering of a newly built array (local radians, pi/2).
-  static constexpr double kBoresight = 1.5707963267948966;
-
   PhasedArray() : PhasedArray(Config{}) {}
   explicit PhasedArray(const Config& config);
 
-  /// Fixed for the array's lifetime: there is no setter, and no code
-  /// replaces a built array by assignment (ReflectorFrontEnd::power_cycle
-  /// re-steers its arrays to kBoresight instead). So the realised pattern
-  /// is a function of steering() alone, and core::Scene's hop memos key an
-  /// array's state on its steering bits without the config.
+  /// Never changes for an array in place: there is no setter, a RadioNode
+  /// builds its array once, and ReflectorFrontEnd builds (and power_cycle
+  /// rebuilds) its arrays only from its own config, which has no setter
+  /// either. So an array's realised pattern is a function of steering()
+  /// alone, and core::Scene's hop memos key an array's state on its
+  /// steering bits without the config.
   const Config& config() const { return config_; }
 
   /// Points the main beam at `local_angle_rad` (radians, boresight = pi/2).
@@ -116,7 +114,7 @@ class PhasedArray {
  private:
   Config config_;
   PhaseShifter shifter_;
-  double steering_{kBoresight};
+  double steering_{1.5707963267948966};  // boresight
   /// e^{j phase_i} of each element's realised phase at steering_, refreshed
   /// by refresh_weights().
   std::vector<std::complex<double>> weights_;

@@ -159,9 +159,9 @@ TEST(FrontEnd, ProcessIsolationFollowsSteering) {
 }
 
 TEST(FrontEnd, PowerCycleRestoresFreshArrays) {
-  // power_cycle re-steers both arrays to boresight instead of building new
-  // ones: the result must match a fresh front end's arrays bit for bit,
-  // with the config unchanged.
+  // power_cycle rebuilds both arrays from the front end's config: the
+  // result must match a fresh front end's arrays bit for bit, steering
+  // and weights included.
   ReflectorFrontEnd::Config config;
   config.array.phase_bits = 3;
   ReflectorFrontEnd fe{config};

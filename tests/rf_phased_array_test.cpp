@@ -253,7 +253,7 @@ TEST(PhasedArray, DefaultArrayHasBoresightWeights) {
     EXPECT_NEAR(std::abs(fresh.field(kPi / 2.0)), 1.0, 1e-12);
     PhasedArray resteered{config};
     resteered.steer(1.0);
-    resteered.steer(PhasedArray::kBoresight);
+    resteered.steer(kPi / 2.0);
     for (const double angle : look_angles()) {
       EXPECT_EQ(field_bits(fresh, angle), field_bits(resteered, angle))
           << bits << " bits, angle " << angle;
