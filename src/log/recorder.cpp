@@ -1,6 +1,6 @@
 #include <log/recorder.hpp>
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 
 #include <sim/rng.hpp>
@@ -21,16 +21,27 @@ std::uint64_t fnv1a_bytes(std::string_view bytes, std::uint64_t hash) {
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 
-void append_hex16(std::string& out, std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, value);
-  out += buf;
+/// Writes `value` as 16 zero-padded lowercase hex digits: the bytes of
+/// printf's "%016" PRIx64, one nibble-table lookup per digit.
+void write_hex16(char (&out)[16], std::uint64_t value) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i) {
+    out[i] = kDigits[value & 0xf];
+    value >>= 4;
+  }
 }
 
+void append_hex16(std::string& out, std::uint64_t value) {
+  char hex[16];
+  write_hex16(hex, value);
+  out.append(hex, sizeof hex);
+}
+
+/// Decimal, the bytes of printf's "%" PRId64; 20 chars hold INT64_MIN.
 void append_i64(std::string& out, std::int64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, value);
-  out += buf;
+  char buf[20];
+  const char* const end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
 }  // namespace
@@ -41,9 +52,9 @@ std::uint64_t chain_seed(std::string_view key) {
 
 std::uint64_t chain_next(std::uint64_t prev, std::string_view canonical,
                          std::string_view key) {
-  char prev_hex[17];
-  std::snprintf(prev_hex, sizeof prev_hex, "%016" PRIx64, prev);
-  std::uint64_t link = fnv1a_bytes({prev_hex, 16}, kFnvOffset);
+  char prev_hex[16];
+  write_hex16(prev_hex, prev);
+  std::uint64_t link = fnv1a_bytes({prev_hex, sizeof prev_hex}, kFnvOffset);
   link = fnv1a_bytes("|", link);
   link = fnv1a_bytes(canonical, link);
   link = fnv1a_bytes(key, link);
