@@ -163,8 +163,7 @@ std::optional<sim::Duration> JitterBuffer::completion_latency(
 }
 
 std::size_t JitterBuffer::arena_bytes() const {
-  std::size_t bytes = slots_.capacity() * sizeof(Slot) +
-                      release_log_.capacity() * sizeof(std::uint64_t);
+  std::size_t bytes = slots_.capacity() * sizeof(Slot);
   for (const Slot& slot : slots_) {
     bytes += slot.state.have.capacity() / 8 +
              slot.state.parity_have.capacity() / 8 +

@@ -83,7 +83,8 @@ class JitterBuffer {
   void reset();
 
   /// Bytes of backing storage currently owned (slot ring + per-slot
-  /// reassembly vectors + release log capacity).
+  /// reassembly vectors). The release log, one id per released frame, is a
+  /// session record and not counted.
   std::size_t arena_bytes() const;
 
  private:

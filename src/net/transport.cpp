@@ -505,11 +505,9 @@ std::size_t Transport::arena_bytes() const {
          fec_.arena_bytes() + retx_.capacity() * sizeof(RetxEntry) +
          recovered_.capacity() *
              sizeof(std::pair<std::uint64_t, std::uint32_t>) +
-         outcomes_.capacity() * sizeof(FrameOutcome) +
          packet_scratch_.capacity() * sizeof(Packet) +
          shed_scratch_.capacity() * sizeof(std::uint64_t) +
-         stale_scratch_.capacity() * sizeof(std::uint64_t) +
-         latency_scratch_.capacity() * sizeof(double);
+         stale_scratch_.capacity() * sizeof(std::uint64_t);
 }
 
 void Transport::reset() {

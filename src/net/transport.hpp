@@ -215,8 +215,11 @@ class Transport {
   void reset();
 
   /// Bytes of backing storage the transport and its subsystems currently
-  /// own (rings, frame tables, scratch buffers) — the steady-state arena.
-  /// Monotone within a session; reset() keeps it.
+  /// own (rings, frame tables, tick-path scratch) — the steady-state arena.
+  /// The per-frame session records (outcomes(), the jitter buffer's
+  /// release_log(), finalize's latency scratch) are not counted, so the
+  /// arena does not grow by an entry per frame. Monotone within a session;
+  /// reset() keeps it.
   std::size_t arena_bytes() const;
 
  private:

@@ -103,17 +103,17 @@ TransportConfig steady_config() {
   return config;
 }
 
-/// Drives one session of `kTicks` frames under a fixed lossy channel.
+/// Drives one session of `ticks` frames under a fixed lossy channel.
 /// Deterministic by construction: the channel schedule is constant and the
-/// transport's RNG streams are reseeded by reset(), so every session is an
-/// exact replay of the first.
+/// transport's RNG streams are reseeded by reset(), so every session of the
+/// same length is an exact replay of the first.
 void run_session(sim::Simulator& simulator, Transport& transport,
-                 sim::TimePoint base) {
+                 sim::TimePoint base, int ticks = kTicks) {
   const sim::Duration interval = sim::from_seconds(1.0 / 90.0);
   ChannelState channel;
   channel.mcs = &phy::mcs_table()[phy::mcs_table().size() / 2];
   channel.packet_loss = 0.12;
-  for (int t = 0; t < kTicks; ++t) {
+  for (int t = 0; t < ticks; ++t) {
     simulator.run_until(base + interval * t);
     transport.on_frame(channel);
   }
@@ -150,6 +150,37 @@ TEST(NetAllocRegression, SteadyStateTransportTickIsHeapFree) {
   EXPECT_EQ(transport.arena_bytes(), warmed_arena)
       << "replayed session grew a pool that session 1 should have warmed";
   EXPECT_EQ(transport.metrics().arena_high_water_bytes, warmed_arena);
+}
+
+TEST(NetAllocRegression, ArenaCountsNoPerFrameRecords) {
+  // The arena counts pools and scratch, not the session's per-frame
+  // records (a 32 B frame outcome, an 8 B release-log id, an 8 B latency
+  // at finalize). A session four times as long as the warm-up still
+  // grows it a little: each jitter-buffer slot keeps the vectors of the
+  // largest frame it has held, and recovery credits that are never
+  // settled pile up. Here that is 1.9 B per added frame; the bound is
+  // half of the smallest record. The warm-up passes over the 512-slot
+  // ring four times.
+  constexpr int kWarmTicks = 2048;
+  sim::Simulator simulator;
+  Transport transport{simulator, steady_config()};
+  run_session(simulator, transport, sim::TimePoint{}, kWarmTicks);
+  simulator.run();
+  transport.finalize(simulator.now());
+  const std::size_t warmed_arena = transport.arena_bytes();
+  transport.reset();
+
+  run_session(simulator, transport, simulator.now(), 4 * kWarmTicks);
+  simulator.run();
+  transport.finalize(simulator.now());
+  ASSERT_TRUE(transport.metrics().conserved());
+  const std::size_t long_arena = transport.arena_bytes();
+  ASSERT_GE(long_arena, warmed_arena);  // reset() keeps every capacity
+  constexpr std::size_t kAddedFrames = 3 * kWarmTicks;
+  EXPECT_LT(long_arena - warmed_arena, kAddedFrames * 4)
+      << "warmed arena " << warmed_arena << " B grew to " << long_arena
+      << " B over " << kAddedFrames << " more frames";
+  EXPECT_EQ(transport.metrics().arena_high_water_bytes, long_arena);
 }
 
 TEST(NetAllocRegression, WarmedOracleQueryBatchIsHeapFree) {
