@@ -326,7 +326,7 @@ RunOutcome run_arena(std::size_t users, const Scenario& scenario,
   // bounds and a lease snapshot per reflector per control tick.
   const auto ticks =
       static_cast<std::uint64_t>(config.session.duration /
-                                 config.control_interval);
+                                 arena::Coordinator::kControlInterval);
   const std::uint64_t want = out.reflectors * ticks;
   if (!out.coordinator_log.has_params ||
       out.coordinator_log.lease_snapshots < want) {

@@ -10,6 +10,24 @@ namespace movr::arena {
 
 namespace {
 
+/// Admission runs every 12th control tick: a 250 ms window, truncated to
+/// whole 20 ms ticks.
+constexpr int kAdmissionWindowTicks = 12;
+/// Lease-liveness bound: no lease may survive on a quarantined device
+/// longer than this. Written into the coordinator log's params record
+/// (revoke_grace_us) so log_verify can re-check it offline.
+constexpr sim::Duration kRevokeGrace{std::chrono::milliseconds{60}};
+/// Aging head start credited to a holder displaced by failover, so losing
+/// a reflector to a fault does not also mean the back of the wait queue.
+constexpr sim::Duration kFastTrackHeadStart{std::chrono::milliseconds{150}};
+/// A fault-displaced or browned-out user stays "fault-degraded" for
+/// admission this long past its fault window: spared as eviction victim,
+/// and readmission probation composes with the window.
+constexpr sim::Duration kFaultDegradedGrace{std::chrono::milliseconds{500}};
+/// Orphan watchdog: an arbiter-side holder whose manager holds no matching
+/// lease for longer than this is reaped.
+constexpr sim::Duration kOrphanGrace{std::chrono::milliseconds{60}};
+
 void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
 }
@@ -152,16 +170,11 @@ Coordinator::Coordinator(sim::Simulator& simulator,
       arbiter_{prototype.reflector_count(), config_.users, config_.arbiter},
       admission_{config_.users, ap_count_of(config_), config_.admission},
       share_(config_.users, 1.0),
-      device_health_{config_.device_health},
       ap_brownout_db_(ap_count_of(config_), 0.0),
       active_reflector_faults_(prototype.reflector_count(), 0),
       fault_until_(config_.users, sim::TimePoint{}),
       orphan_since_(prototype.reflector_count(), sim::TimePoint{}),
       orphan_armed_(prototype.reflector_count(), 0) {
-  control_ticks_per_window_ = std::max<int>(
-      1, static_cast<int>(config_.admission_window.count() /
-                          std::max<std::int64_t>(
-                              1, config_.control_interval.count())));
   users_.reserve(config_.users);
   for (std::size_t u = 0; u < config_.users; ++u) {
     UserWorld world = build_user_world(prototype, config_, u);
@@ -246,7 +259,7 @@ void Coordinator::control_tick() {
     }
   }
   orphan_watchdog(now);
-  if (++ticks_since_admission_ >= control_ticks_per_window_) {
+  if (++ticks_since_admission_ >= kAdmissionWindowTicks) {
     ticks_since_admission_ = 0;
     admission_tick(now);
   }
@@ -259,8 +272,17 @@ void Coordinator::control_tick() {
         log::EventKind::kCoordTick,
         {{"users", static_cast<std::int64_t>(users_.size())}});
   }
-  if (now + config_.control_interval <= end_) {
-    simulator_.at(now + config_.control_interval, [this] { control_tick(); });
+  // The per-user packet-ledger audit (Transport::ledger_closes).
+  for (auto& user : users_) {
+    if (const net::Transport* transport = user->session.transport()) {
+      ++user->ledger_checks;
+      if (!transport->ledger_closes()) {
+        ++user->ledger_violations;
+      }
+    }
+  }
+  if (now + kControlInterval <= end_) {
+    simulator_.at(now + kControlInterval, [this] { control_tick(); });
   }
 }
 
@@ -271,10 +293,6 @@ void Coordinator::schedule_faults() {
   injector_ = std::make_unique<sim::FaultInjector>(simulator_);
   device_health_.track(active_reflector_faults_.size());
   device_health_.set_recorder(config_.recorder);
-  const sim::Duration sweep_tick =
-      config_.control_interval.count() > 0
-          ? config_.control_interval
-          : sim::Duration{std::chrono::milliseconds{20}};
   for (const ArenaFault& fault : config_.faults) {
     switch (fault.kind) {
       case ArenaFault::Kind::kReflectorReboot: {
@@ -295,7 +313,7 @@ void Coordinator::schedule_faults() {
         auto opened = std::make_shared<bool>(false);
         injector_->inject_sweep(
             "arena.sag.r" + std::to_string(fault.resource), fault.start,
-            fault.duration, sweep_tick,
+            fault.duration, kControlInterval,
             [this, fault, opened](double progress) {
               if (!*opened) {
                 *opened = true;
@@ -329,8 +347,8 @@ void Coordinator::schedule_faults() {
             [this, fault] {
               ++chaos_.faults_applied;
               ap_brownout_db_.at(fault.resource) += fault.magnitude_db;
-              const sim::TimePoint until = simulator_.now() + fault.duration +
-                                           config_.fault_degraded_grace;
+              const sim::TimePoint until =
+                  simulator_.now() + fault.duration + kFaultDegradedGrace;
               for (std::size_t u = 0; u < users_.size(); ++u) {
                 if (users_[u]->ap_index == fault.resource) {
                   mark_fault_degraded(u, until);
@@ -369,8 +387,7 @@ void Coordinator::on_reflector_fault(std::size_t r, sim::TimePoint window_end,
     // verifier must catch it). Still mark it fault-degraded so admission
     // does not double-punish the victim.
     if (const auto holder = arbiter_.holder(r)) {
-      mark_fault_degraded(*holder,
-                          window_end + config_.fault_degraded_grace);
+      mark_fault_degraded(*holder, window_end + kFaultDegradedGrace);
     }
     return;
   }
@@ -381,8 +398,8 @@ void Coordinator::on_reflector_fault(std::size_t r, sim::TimePoint window_end,
   if (ex.has_value()) {
     ++chaos_.failover_revocations;
     users_[*ex]->strategy.manager().revoke_reflector(r);
-    arbiter_.fast_track(*ex, config_.fast_track_head_start);
-    mark_fault_degraded(*ex, window_end + config_.fault_degraded_grace);
+    arbiter_.fast_track(*ex, kFastTrackHeadStart);
+    mark_fault_degraded(*ex, window_end + kFaultDegradedGrace);
     if (config_.recorder != nullptr) {
       config_.recorder->record(
           log::EventKind::kLeaseRevoke,
@@ -436,7 +453,7 @@ void Coordinator::orphan_watchdog(sim::TimePoint now) {
       orphan_since_[r] = now;
       continue;
     }
-    if (now - orphan_since_[r] > config_.orphan_grace) {
+    if (now - orphan_since_[r] > kOrphanGrace) {
       // The manager let go (or never knew) but the arbiter still shows a
       // holder: reap it so the reflector re-enters arbitration.
       arbiter_.strip_holder(r);
@@ -555,22 +572,6 @@ void Coordinator::recompute_shares() {
   }
 }
 
-void Coordinator::ledger_tick() {
-  for (auto& user : users_) {
-    if (const net::Transport* transport = user->session.transport()) {
-      ++user->ledger_checks;
-      if (!transport->ledger_closes()) {
-        ++user->ledger_violations;
-      }
-    }
-  }
-  const sim::TimePoint now = simulator_.now();
-  if (now + config_.ledger_check_interval <= end_) {
-    simulator_.at(now + config_.ledger_check_interval,
-                  [this] { ledger_tick(); });
-  }
-}
-
 std::vector<Coordinator::UserResult> Coordinator::run() {
   const sim::TimePoint start = simulator_.now();
   end_ = start + config_.session.duration;
@@ -580,11 +581,10 @@ std::vector<Coordinator::UserResult> Coordinator::run() {
     config_.recorder->record(
         log::EventKind::kParams,
         {{"tick_us", std::chrono::duration_cast<std::chrono::microseconds>(
-                         config_.control_interval)
+                         kControlInterval)
                          .count()},
          {"revoke_grace_us",
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              config_.revoke_grace)
+          std::chrono::duration_cast<std::chrono::microseconds>(kRevokeGrace)
               .count()},
          {"reflectors", static_cast<std::int64_t>(orphan_since_.size())},
          {"users", static_cast<std::int64_t>(users_.size())}});
@@ -592,15 +592,7 @@ std::vector<Coordinator::UserResult> Coordinator::run() {
   for (auto& user : users_) {
     user->session.start();  // user order = event insertion order = tie order
   }
-  if (config_.control_interval.count() > 0) {
-    simulator_.at(start + config_.control_interval,
-                  [this] { control_tick(); });
-  }
-  if (config_.ledger_check_interval.count() > 0 &&
-      config_.session.transport.has_value()) {
-    simulator_.at(start + config_.ledger_check_interval,
-                  [this] { ledger_tick(); });
-  }
+  simulator_.at(start + kControlInterval, [this] { control_tick(); });
   simulator_.run_until(end_);
 
   std::vector<UserResult> results;

@@ -104,15 +104,9 @@ class Coordinator {
     vr::Session::Config session{};
     /// LinkManager template; the lease hooks are filled in per user.
     core::LinkManager::Config link{};
-    /// Lease renewal + share recomputation cadence.
-    sim::Duration control_interval{std::chrono::milliseconds{20}};
-    /// Admission window (rounded up to a control-tick multiple).
-    sim::Duration admission_window{std::chrono::milliseconds{250}};
-    /// Per-user transport ledger audit cadence; zero disables.
-    sim::Duration ledger_check_interval{std::chrono::milliseconds{20}};
     std::uint64_t seed{1};
     /// Shared-resource fault script (empty = fault-free: none of the
-    /// chaos machinery below runs and the arena is bit-identical to the
+    /// chaos machinery runs and the arena is bit-identical to the
     /// pre-fault coordinator).
     std::vector<ArenaFault> faults;
     /// Lease failover: when a reflector faults, quarantine it arbiter-side,
@@ -122,25 +116,6 @@ class Coordinator {
     /// quarantined devices and the offline verifier's lease-liveness
     /// invariant (F) must catch it from the log alone.
     bool lease_failover{true};
-    /// Lease-liveness bound: no lease may survive on a quarantined device
-    /// longer than this. Written into the coordinator log's params record
-    /// (revoke_grace_us) so log_verify can re-check it offline.
-    sim::Duration revoke_grace{std::chrono::milliseconds{60}};
-    /// Aging head start credited to a holder displaced by failover, so
-    /// losing a reflector to a fault does not also mean the back of the
-    /// wait queue.
-    sim::Duration fast_track_head_start{std::chrono::milliseconds{150}};
-    /// A fault-displaced or browned-out user stays "fault-degraded" for
-    /// admission this long past its fault window: spared as eviction
-    /// victim, and readmission probation composes with the window.
-    sim::Duration fault_degraded_grace{std::chrono::milliseconds{500}};
-    /// Orphan watchdog: an arbiter-side holder whose manager holds no
-    /// matching lease for longer than this is reaped.
-    sim::Duration orphan_grace{std::chrono::milliseconds{60}};
-    /// Device-level health supervision of the shared reflectors
-    /// (coordinator-side quarantine/backoff/re-probe; distinct from each
-    /// user's own link-health monitor).
-    core::HealthMonitor::Config device_health{};
     /// Coordinator-stream event-log sink: control-tick interleave markers,
     /// lease revocations and admission transitions land here.
     log::Recorder* recorder{nullptr};
@@ -168,6 +143,13 @@ class Coordinator {
     std::uint64_t fault_degraded_samples{0};
   };
 
+  /// The one control cadence: lease renewal, share recomputation, device
+  /// re-probes, the orphan watchdog, lease snapshots and the per-user
+  /// transport ledger audit all run on this tick, and admission on every
+  /// 12th (the other timing constants are in coordinator.cpp).
+  static constexpr sim::Duration kControlInterval{
+      std::chrono::milliseconds{20}};
+
   Coordinator(sim::Simulator& simulator, const core::Scene& prototype,
               Config config, MotionFactory motion = {},
               ScriptFactory script = {});
@@ -192,14 +174,7 @@ class Coordinator {
   const ReflectorArbiter& arbiter() const { return arbiter_; }
   const AdmissionController& admission() const { return admission_; }
   const ChaosStats& chaos() const { return chaos_; }
-  /// Device-level (shared-reflector) health; empty-tracked when no faults
-  /// are scripted.
-  const core::HealthMonitor& device_health() const { return device_health_; }
-  /// Live per-user probes for the chaos bench's 20 ms isolation checker.
-  std::size_t user_count() const { return users_.size(); }
-  std::size_t user_ap(std::size_t user) const {
-    return users_.at(user)->ap_index;
-  }
+  /// Live per-user probe for the chaos bench's 20 ms isolation checker.
   const net::Transport* user_transport(std::size_t user) const {
     return users_.at(user)->session.transport();
   }
@@ -208,7 +183,7 @@ class Coordinator {
     return users_.at(user)->strategy.manager();
   }
   /// True while `user` is inside a fault's blast radius (displaced holder
-  /// or browned-out AP), including the configured post-window grace.
+  /// or browned-out AP), including the post-window grace.
   bool fault_degraded(std::size_t user, sim::TimePoint now) const {
     return now < fault_until_.at(user) ||
            (!ap_brownout_db_.empty() &&
@@ -238,7 +213,7 @@ class Coordinator {
     // Admission-window deltas of the transport's live counters.
     std::uint64_t last_misses{0};
     std::uint64_t last_frames{0};
-    // Per-20 ms ledger audit results (folded into ArenaLinkStats).
+    // Per-control-tick ledger audit results (folded into ArenaLinkStats).
     std::uint64_t ledger_checks{0};
     std::uint64_t ledger_violations{0};
 
@@ -255,7 +230,6 @@ class Coordinator {
   void control_tick();
   void admission_tick(sim::TimePoint now);
   void recompute_shares();
-  void ledger_tick();
   void schedule_faults();
   /// A reflector fault window opened (or a reboot pulsed): device
   /// quarantine + (when enabled) lease failover for the holder.
@@ -280,10 +254,12 @@ class Coordinator {
   std::vector<std::unique_ptr<User>> users_;
   std::vector<double> share_;  // per user, refreshed each control tick
   sim::TimePoint end_{};
-  int control_ticks_per_window_{1};
   int ticks_since_admission_{0};
   // --- chaos machinery (inert when config_.faults is empty) -------------
   std::unique_ptr<sim::FaultInjector> injector_;
+  /// Device-level health of the shared reflectors (quarantine, backoff,
+  /// re-probe; default config), distinct from each user's link-health
+  /// monitor.
   core::HealthMonitor device_health_;
   ChaosStats chaos_;
   std::vector<double> ap_brownout_db_;        // per AP, live penalty

@@ -15,46 +15,14 @@ rf::Decibels leg_obstruction(const Room& room, geom::Vec2 a, geom::Vec2 b) {
   return total_obstruction(room.obstacles(), geom::Segment{a, b});
 }
 
-bool same_walls(const std::vector<geom::Segment>& snapshot,
-                const std::vector<Wall>& walls) {
-  if (snapshot.size() != walls.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    if (snapshot[i].a != walls[i].extent.a ||
-        snapshot[i].b != walls[i].extent.b) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 PathSolver::PathSolver(const Room& room, Config config)
     : room_{&room}, config_{config} {
-  build_images();
-}
-
-void PathSolver::build_images() {
-  mirrors_.clear();
-  wall_snapshot_.clear();
-  mirrors_.reserve(room_->walls().size());
-  wall_snapshot_.reserve(room_->walls().size());
-  for (const Wall& wall : room_->walls()) {
+  mirrors_.reserve(room.walls().size());
+  for (const Wall& wall : room.walls()) {
     mirrors_.push_back(
         Mirror{wall.extent.a, wall.extent.direction().normalized()});
-    wall_snapshot_.push_back(wall.extent);
-  }
-}
-
-void PathSolver::rebind(const Room& room) {
-  // Compare against the snapshot, not *room_: a rebind typically happens
-  // precisely because the previously bound room no longer exists.
-  const bool geometry_unchanged = same_walls(wall_snapshot_, room.walls());
-  room_ = &room;
-  if (!geometry_unchanged) {
-    build_images();
   }
 }
 

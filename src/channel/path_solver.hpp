@@ -9,11 +9,14 @@
 //
 // The specular image tree (one mirror image per wall, one composed image per
 // ordered wall pair) depends only on the wall geometry, which is fixed at
-// Room construction. The solver builds that tree once and answers
-// solve(src, dst) by unfolding the cached images against the *current*
-// obstacle set and wall materials — so moving a blocker or re-materialling a
-// wall takes effect on the very next call, with no rebuild. When the room
-// has no obstacles the per-leg obstruction checks are skipped entirely.
+// Room construction. The solver builds that tree once, in its constructor,
+// and answers solve(src, dst) by unfolding the cached images against the
+// *current* obstacle set and wall materials — so moving a blocker or
+// re-materialling a wall takes effect on the very next call, with no
+// rebuild. When the room has no obstacles the per-leg obstruction checks
+// are skipped entirely. The solver reads the Room it was built from through
+// a pointer, so that Room must outlive it at the same address (core::Scene
+// keeps its Room on the heap for this).
 //
 // Two query shapes, one per-query code path:
 //  - solve(src, dst): returns a fresh std::vector<Path>.
@@ -34,7 +37,6 @@
 #include <channel/path.hpp>
 #include <channel/path_batch.hpp>
 #include <channel/room.hpp>
-#include <geom/segment.hpp>
 #include <rf/units.hpp>
 
 namespace movr::channel {
@@ -79,10 +81,6 @@ class PathSolver {
   const Room& room() const { return *room_; }
   const Config& config() const { return config_; }
 
-  /// Rebinds the solver to `room` (e.g. after the owning object moved).
-  /// The image tree is rebuilt only when the wall geometry differs.
-  void rebind(const Room& room);
-
   /// All propagation paths from `source` to `destination`, strongest first.
   std::vector<Path> solve(geom::Vec2 source, geom::Vec2 destination) const;
 
@@ -119,12 +117,6 @@ class PathSolver {
   const Room* room_;
   Config config_;
   std::vector<Mirror> mirrors_;  // one per wall, same indexing as walls()
-  /// Wall extents the mirrors were built from. rebind() compares against
-  /// this snapshot — never against *room_, which may already be dangling
-  /// when the rebind is cleaning up after a move of the room's owner.
-  std::vector<geom::Segment> wall_snapshot_;
-
-  void build_images();
 
   // Candidate evaluation — the single source of truth for path math.
   Candidate los_candidate(geom::Vec2 source, geom::Vec2 destination) const;

@@ -25,6 +25,11 @@ std::int64_t round_away(double v) {
   return static_cast<std::int64_t>(v + std::copysign(0.5, v));
 }
 
+/// Cache keys quantise endpoints to a 1 µm grid: far below any physical
+/// significance, far above double noise. The key multiplies by the inverse
+/// instead of dividing in the per-query probe loop.
+constexpr double kInvQuantum = 1.0 / 1e-6;
+
 /// The next cache generation: process-wide, so that no two oracles' caches
 /// share one, and starting at 1, so that a zeroed key never matches.
 std::uint64_t next_generation() {
@@ -37,7 +42,6 @@ std::uint64_t next_generation() {
 ChannelOracle::ChannelOracle(const channel::Room& room, Config config)
     : solver_{room, config.solver},
       config_{config},
-      inv_quantum_{1.0 / config.quantum_m},
       seen_revision_{room.revision()},
       generation_{next_generation()} {}
 
@@ -51,7 +55,7 @@ std::uint64_t ChannelOracle::hash_key(const Key& k) {
 }
 
 ChannelOracle::Key ChannelOracle::make_key(geom::Vec2 a, geom::Vec2 b) const {
-  const double s = inv_quantum_;
+  const double s = kInvQuantum;
   return Key{round_away(a.x * s), round_away(a.y * s), round_away(b.x * s),
              round_away(b.y * s)};
 }
@@ -232,13 +236,6 @@ void ChannelOracle::note_arena_locked() const {
   if (bytes > stats_.arena_bytes) {
     stats_.arena_bytes = bytes;
   }
-}
-
-void ChannelOracle::rebind(const channel::Room& room) {
-  const std::scoped_lock lock{mutex_};
-  solver_.rebind(room);
-  drop_cache_locked();
-  seen_revision_ = room.revision();
 }
 
 ChannelOracle::Stats ChannelOracle::stats() const {

@@ -7,7 +7,9 @@
 // so the next query drops every stale entry before answering. Steering and
 // gain state live *above* the paths (in the SNR assembly) and never enter
 // the cache, which is why Scene can keep re-steering between queries at
-// zero cache cost.
+// zero cache cost. The oracle binds to its Room once, at construction: the
+// Room must outlive it at the same address (core::Scene keeps its Room on
+// the heap, so a moved Scene keeps its oracle's binding and warm cache).
 //
 // Query shapes, cheapest first:
 //  - paths_view(a, b): borrowed view of the cached path set. A warm hit
@@ -48,9 +50,6 @@ class ChannelOracle {
  public:
   struct Config {
     channel::PathSolver::Config solver{};
-    /// Endpoints are quantised to this grid (metres) to form cache keys.
-    /// 1 µm: far below any physical significance, far above double noise.
-    double quantum_m{1e-6};
     /// The cache is dropped wholesale when it reaches this many entries
     /// (bounds memory on unbounded query streams, e.g. Monte Carlo runs).
     std::size_t max_entries{1u << 16};
@@ -79,13 +78,9 @@ class ChannelOracle {
   void query_batch(const channel::EndpointBatch& batch,
                    std::vector<PathsView>& out) const;
 
-  /// Rebinds to `room` (e.g. after the owning Scene moved) and drops the
-  /// cache — a different Room object shares no revision history.
-  void rebind(const channel::Room& room);
-
   /// Names the cache's current contents. Drawn from a process-wide counter
   /// (never 0) at construction and again at every cache drop (revision
-  /// bump, rebind, size cap), so no two caches, of this oracle or any
+  /// bump, size cap), so no two caches, of this oracle or any
   /// other, share one. paths_view only ever returns a view the cache keeps
   /// until its next drop, so within one generation a view's address names
   /// one path set: (generation(), view address) is a path set's identity
@@ -103,8 +98,7 @@ class ChannelOracle {
     std::uint64_t queries{0};
     std::uint64_t hits{0};
     std::uint64_t misses{0};
-    /// Cache drops: revision bumps observed, rebinds and size-cap
-    /// evictions.
+    /// Cache drops: revision bumps observed and size-cap evictions.
     std::uint64_t invalidations{0};
     /// Queries answered through query_batch (subset of `queries`).
     std::uint64_t batch_queries{0};
@@ -194,9 +188,6 @@ class ChannelOracle {
 
   channel::PathSolver solver_;
   Config config_;
-  /// 1 / config_.quantum_m, precomputed: the key quantisation multiplies
-  /// instead of dividing in the per-query probe loop.
-  double inv_quantum_;
   mutable std::mutex mutex_;
   mutable PathCache cache_;
   mutable std::uint64_t seen_revision_;

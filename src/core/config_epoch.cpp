@@ -76,7 +76,6 @@ void ReflectorConfigAgent::compute_safe_code() {
       std::max(leakage.worst_case_isolation().value() -
                    config_.safe_margin.value(),
                min_gain);
-  safe_floor_ = rf::Decibels{floor_db};
 
   const hw::Dac dac{fe.gain_dac};
   std::uint32_t code = 0;

@@ -141,8 +141,7 @@ class ReflectorConfigAgent {
 
   bool in_safe_mode() const { return safe_mode_; }
   std::uint64_t applied_seq() const { return applied_seq_; }
-  /// The provably-stable gain floor and the DAC code realising it.
-  rf::Decibels safe_gain_floor() const { return safe_floor_; }
+  /// The DAC code realising the provably-stable gain floor.
   std::uint32_t safe_gain_code() const { return safe_code_; }
   std::uint32_t digest() const;
 
@@ -194,7 +193,6 @@ class ReflectorConfigAgent {
   bool safe_mode_{false};
   bool running_{false};
   int oscillation_strikes_{0};
-  rf::Decibels safe_floor_{0.0};
   std::uint32_t safe_code_{0};
   double oscillation_threshold_a_{0.0};
   Stats stats_;

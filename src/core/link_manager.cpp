@@ -13,29 +13,18 @@ LinkManager::LinkManager(sim::Simulator& simulator, Scene& scene,
       rng_{rng},
       config_{config},
       health_{config.health} {
-  ensure_records();
-}
-
-void LinkManager::ensure_records() {
-  const std::size_t n = scene_.reflector_count();
-  if (records_.size() < n) {
-    records_.resize(n);
+  // The scene's reflector set is fixed for the manager's life: the
+  // calibration records (captured from the reflectors as found here) and
+  // the health slots are sized once, and every loop runs over records_, so
+  // a reflector added later is never indexed.
+  records_.reserve(scene_.reflector_count());
+  for (std::size_t i = 0; i < scene_.reflector_count(); ++i) {
+    const MovrReflector& reflector = scene_.reflector(i);
+    records_.push_back({reflector.front_end().rx_array().steering(),
+                        reflector.front_end().gain_code(),
+                        reflector.boot_epoch()});
   }
-  health_.track(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!records_[i].captured) {
-      capture_calibration(i);
-    }
-  }
-}
-
-void LinkManager::capture_calibration(std::size_t index) {
-  const auto& fe = scene_.reflector(index).front_end();
-  CalibrationRecord& record = records_[index];
-  record.rx_angle = fe.rx_array().steering();
-  record.gain_code = fe.gain_code();
-  record.boot_epoch = scene_.reflector(index).boot_epoch();
-  record.captured = true;
+  health_.track(records_.size());
 }
 
 void LinkManager::recalibrate(std::size_t index) {
@@ -157,12 +146,11 @@ auto LinkManager::with_borrowed_beams(Probe probe) {
 }
 
 std::optional<std::size_t> LinkManager::best_usable_reflector() {
-  ensure_records();
   // Strongest illumination among reflectors the health monitor will let us
   // touch (healthy, or quarantined with the backoff expired = probe due).
   std::optional<std::size_t> best;
   double best_snr = -1e9;
-  for (std::size_t i = 0; i < scene_.reflector_count(); ++i) {
+  for (std::size_t i = 0; i < records_.size(); ++i) {
     if (!health_.usable(i, simulator_.now())) {
       continue;
     }
@@ -236,17 +224,16 @@ void LinkManager::handover_failed(std::size_t target,
 }
 
 void LinkManager::begin_handover_to_reflector() {
-  if (scene_.reflector_count() == 0) {
+  if (records_.empty()) {
     return;  // nothing to fall back to — and nothing to be degraded FROM
   }
-  ensure_records();
   // Usable candidates, strongest illumination first (ties: lower index).
   // A leased-out target is an explicit denial, not a fault: skip to the
   // next-best reflector, and when every usable one is taken stay in the
   // current mode and retry next frame — the arbiter ages waiting users in
   // the meantime, so starvation resolves deterministically.
   candidate_scratch_.clear();
-  for (std::size_t i = 0; i < scene_.reflector_count(); ++i) {
+  for (std::size_t i = 0; i < records_.size(); ++i) {
     if (!health_.usable(i, simulator_.now())) {
       continue;
     }
@@ -515,7 +502,6 @@ std::optional<rf::Decibels> LinkManager::speculative_alt_snr_impl() {
 }
 
 rf::Decibels LinkManager::on_frame() {
-  ensure_records();
   note_risk_transitions();
   const rf::Decibels true_snr = current_true_snr();
   scene_.headset().observe(true_snr, rng_);

@@ -148,7 +148,6 @@ class LinkManager {
   std::optional<rf::Decibels> speculative_alt_snr();
 
   Mode mode() const { return mode_; }
-  bool handover_in_progress() const { return mode_ == Mode::kHandoverPending; }
   bool degraded() const { return mode_ == Mode::kDegraded; }
   std::size_t active_reflector() const { return active_reflector_; }
 
@@ -198,7 +197,6 @@ class LinkManager {
     double rx_angle{0.0};
     std::uint32_t gain_code{0};
     std::uint32_t boot_epoch{0};
-    bool captured{false};
   };
 
   /// Runs `probe` on the AP's and the headset's beams, then puts back
@@ -225,8 +223,6 @@ class LinkManager {
   std::optional<rf::Decibels> speculative_alt_snr_impl();
   void enter_degraded();
   void recalibrate(std::size_t index);
-  void capture_calibration(std::size_t index);
-  void ensure_records();
   std::optional<std::size_t> best_usable_reflector();
 
   sim::Simulator& simulator_;

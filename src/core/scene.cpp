@@ -34,21 +34,14 @@ HopMemo::Key hop_key(const ChannelOracle& oracle,
 
 Scene::Scene(channel::Room room, ApRadio ap, HeadsetRadio headset,
              Config config)
-    : room_{std::move(room)},
-      oracle_{std::make_unique<ChannelOracle>(room_, oracle_config(config))},
+    : room_{std::make_unique<channel::Room>(std::move(room))},
+      oracle_{std::make_unique<ChannelOracle>(*room_, oracle_config(config))},
       ap_{std::move(ap)},
       headset_{std::move(headset)},
       config_{config} {}
 
-const ChannelOracle& Scene::oracle() const {
-  if (&oracle_->room() != &room_) {
-    oracle_->rebind(room_);  // the scene was moved; drop the stale binding
-  }
-  return *oracle_;
-}
-
 Scene Scene::clone() const {
-  Scene copy{channel::Room{room_}, ApRadio{ap_}, HeadsetRadio{headset_},
+  Scene copy{channel::Room{*room_}, ApRadio{ap_}, HeadsetRadio{headset_},
              config_};
   copy.reflectors_.reserve(reflectors_.size());
   for (const auto& reflector : reflectors_) {

@@ -46,8 +46,8 @@ class Scene {
   Scene(channel::Room room, ApRadio ap, HeadsetRadio headset, Config config);
 
   // --- world state ----------------------------------------------------
-  channel::Room& room() { return room_; }
-  const channel::Room& room() const { return room_; }
+  channel::Room& room() { return *room_; }
+  const channel::Room& room() const { return *room_; }
   ApRadio& ap() { return ap_; }
   const ApRadio& ap() const { return ap_; }
   HeadsetRadio& headset() { return headset_; }
@@ -79,10 +79,10 @@ class Scene {
   /// prefetch first, then every per-cell physics query is a warm hit.
   void prefetch_paths(const channel::EndpointBatch& batch) const;
 
-  /// The oracle serving paths_view (rebinding it to this scene's room
-  /// first if the scene was moved since the last query). Exposes the
-  /// precomputed PathSolver and the query/hit/invalidation counters.
-  const ChannelOracle& oracle() const;
+  /// The oracle serving paths_view, bound to this scene's room for the
+  /// scene's life. Exposes the precomputed PathSolver and the
+  /// query/hit/invalidation counters.
+  const ChannelOracle& oracle() const { return *oracle_; }
   ChannelOracle::Stats oracle_stats() const { return oracle().stats(); }
   void reset_oracle_stats() const { oracle().reset_stats(); }
 
@@ -154,11 +154,10 @@ class Scene {
                                              std::mt19937_64& rng);
 
  private:
-  channel::Room room_;
-  // The oracle holds a pointer to room_, which relocates when the Scene is
-  // moved. oracle() compares the bound room's address against &room_ on
-  // every access and rebinds (dropping the cache) after a move, so a moved
-  // Scene keeps answering queries correctly.
+  // The oracle holds a pointer to the room. Both live on the heap, so a
+  // moved Scene keeps the room's address, the oracle's binding and its
+  // warm cache.
+  std::unique_ptr<channel::Room> room_;
   std::unique_ptr<ChannelOracle> oracle_;
   ApRadio ap_;
   HeadsetRadio headset_;

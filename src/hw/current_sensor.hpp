@@ -35,7 +35,6 @@ class CurrentSensor {
   /// reading is offset by this before quantisation. The gain controller
   /// cannot see it — that is the point.
   void set_bias(double bias_a) { bias_a_ = bias_a; }
-  double bias() const { return bias_a_; }
 
  private:
   Config config_;

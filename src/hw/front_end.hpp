@@ -61,7 +61,6 @@ class ReflectorFrontEnd {
   void power_cycle();
   /// Drifts the current sensor's reading by `bias_a` amps.
   void inject_sensor_bias(double bias_a) { sensor_.set_bias(bias_a); }
-  double sensor_bias() const { return sensor_.bias(); }
   /// Derates the amplifier's delivered gain by `sag` (thermal/aging droop).
   void inject_gain_sag(rf::Decibels sag);
   rf::Decibels gain_sag() const { return amplifier_.gain_derating(); }

@@ -118,13 +118,6 @@ struct TransportMetrics {
                                    speculative_dups + packets_in_flight;
   }
 
-  double deadline_miss_fraction() const {
-    return frames_emitted == 0
-               ? 0.0
-               : static_cast<double>(deadline_misses) /
-                     static_cast<double>(frames_emitted);
-  }
-
   static constexpr double kNeverMs = std::numeric_limits<double>::infinity();
 };
 

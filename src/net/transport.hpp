@@ -123,8 +123,6 @@ class Transport {
     sim::TimePoint capture{};
     Kind kind{Kind::kPending};
     double latency_ms{TransportMetrics::kNeverMs};
-
-    bool delivered_on_time() const { return kind == Kind::kOnTime; }
   };
 
   Transport(sim::Simulator& simulator, TransportConfig config);

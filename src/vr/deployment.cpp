@@ -8,16 +8,14 @@ Deployment::Deployment(core::Scene scene, Config config)
       rngs_{config.seed},
       simulator_{},
       control_{simulator_, config.bluetooth, rngs_.stream("bluetooth")} {
+  // Wires every reflector's control endpoint on the Bluetooth channel.
   for (std::size_t i = 0; i < scene_.reflector_count(); ++i) {
-    attach_reflector(scene_.reflector(i));
+    core::MovrReflector& reflector = scene_.reflector(i);
+    control_.attach(reflector.control_name(),
+                    [&reflector](const sim::ControlMessage& m) {
+                      reflector.handle(m);
+                    });
   }
-}
-
-void Deployment::attach_reflector(core::MovrReflector& reflector) {
-  control_.attach(reflector.control_name(),
-                  [&reflector](const sim::ControlMessage& m) {
-                    reflector.handle(m);
-                  });
 }
 
 Deployment::CalibrationReport Deployment::calibrate() {

@@ -38,11 +38,6 @@ class Deployment {
   sim::Simulator& simulator() { return simulator_; }
   sim::ControlChannel& bluetooth() { return control_; }
 
-  /// Registers a reflector added to the scene AFTER construction on the
-  /// control channel. (Reflectors present at construction are wired
-  /// automatically.)
-  void attach_reflector(core::MovrReflector& reflector);
-
   struct ReflectorCalibration {
     core::IncidenceResult incidence;
     core::ReflectionResult reflection;
