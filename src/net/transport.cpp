@@ -261,7 +261,14 @@ void Transport::on_recovered(std::uint64_t frame_id, std::uint32_t seq) {
   // advertises the recovery and the retransmit is cancelled — the credit
   // is taken immediately. Otherwise remember the debt: it is settled when
   // the copy's transmission resolves (duplicate arrival or block-acked
-  // loss) or written off when the frame drops.
+  // loss) or written off when the frame drops. A frame drop_frame has
+  // already written off has no copy left to settle a credit (its copies
+  // landed in the dropped bucket), so none is recorded.
+  const FrameOutcome::Kind kind = outcomes_[frame_id].kind;
+  if (kind == FrameOutcome::Kind::kDroppedQueue ||
+      kind == FrameOutcome::Kind::kDroppedArq) {
+    return;
+  }
   for (auto it = retx_.begin(); it != retx_.end(); ++it) {
     if (it->packet.frame_id == frame_id && it->packet.seq == seq &&
         !it->packet.parity && !it->delivered) {

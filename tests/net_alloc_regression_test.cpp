@@ -152,35 +152,63 @@ TEST(NetAllocRegression, SteadyStateTransportTickIsHeapFree) {
   EXPECT_EQ(transport.metrics().arena_high_water_bytes, warmed_arena);
 }
 
+/// The transport arena after a session of `ticks` frames, then after a
+/// session four times as long that follows it on the same transport.
+struct ArenaGrowth {
+  std::size_t first{0};
+  std::size_t longer{0};
+};
+
+ArenaGrowth arena_growth(int ticks) {
+  sim::Simulator simulator;
+  Transport transport{simulator, steady_config()};
+  const auto session = [&](int session_ticks) {
+    transport.reset();  // keeps every capacity
+    run_session(simulator, transport, simulator.now(), session_ticks);
+    simulator.run();
+    transport.finalize(simulator.now());
+    EXPECT_TRUE(transport.metrics().conserved());
+    EXPECT_EQ(transport.metrics().arena_high_water_bytes,
+              transport.arena_bytes());
+    return transport.arena_bytes();
+  };
+  const std::size_t first = session(ticks);
+  return {first, session(4 * ticks)};
+}
+
 TEST(NetAllocRegression, ArenaCountsNoPerFrameRecords) {
   // The arena counts pools and scratch, not the session's per-frame
   // records (a 32 B frame outcome, an 8 B release-log id, an 8 B latency
   // at finalize). A session four times as long as the warm-up still
-  // grows it a little: each jitter-buffer slot keeps the vectors of the
-  // largest frame it has held, and recovery credits that are never
-  // settled pile up. Here that is 1.9 B per added frame; the bound is
-  // half of the smallest record. The warm-up passes over the 512-slot
-  // ring four times.
+  // grows it a little, because every pool keeps its high-water capacity
+  // and a longer session meets higher marks (each jitter-buffer slot keeps
+  // the vectors of the largest frame it has held). Here that is 1.6 B per
+  // added frame; the bound is half of the smallest record. The warm-up
+  // passes over the 512-slot ring four times.
   constexpr int kWarmTicks = 2048;
-  sim::Simulator simulator;
-  Transport transport{simulator, steady_config()};
-  run_session(simulator, transport, sim::TimePoint{}, kWarmTicks);
-  simulator.run();
-  transport.finalize(simulator.now());
-  const std::size_t warmed_arena = transport.arena_bytes();
-  transport.reset();
-
-  run_session(simulator, transport, simulator.now(), 4 * kWarmTicks);
-  simulator.run();
-  transport.finalize(simulator.now());
-  ASSERT_TRUE(transport.metrics().conserved());
-  const std::size_t long_arena = transport.arena_bytes();
-  ASSERT_GE(long_arena, warmed_arena);  // reset() keeps every capacity
+  const ArenaGrowth arena = arena_growth(kWarmTicks);
+  ASSERT_GE(arena.longer, arena.first);
   constexpr std::size_t kAddedFrames = 3 * kWarmTicks;
-  EXPECT_LT(long_arena - warmed_arena, kAddedFrames * 4)
-      << "warmed arena " << warmed_arena << " B grew to " << long_arena
+  EXPECT_LT(arena.longer - arena.first, kAddedFrames * 4)
+      << "warmed arena " << arena.first << " B grew to " << arena.longer
       << " B over " << kAddedFrames << " more frames";
-  EXPECT_EQ(transport.metrics().arena_high_water_bytes, long_arena);
+}
+
+TEST(NetAllocRegression, WrittenOffFramesKeepNoRecoveryCredits) {
+  // A recovery credit waits for the sender's copy of a packet the receiver
+  // rebuilt from parity. Once drop_frame has written a frame off, no copy
+  // is left to settle one, so a packet of that frame rebuilt later must
+  // not record a credit: those were never settled or written off, and
+  // grew the transport arena with the session's length (about 7 KB from
+  // the first session to the second here). What is left of the growth is
+  // jitter-buffer slots meeting larger frames, about 1 KB.
+  constexpr int kFirstTicks = 8192;
+  const ArenaGrowth arena = arena_growth(kFirstTicks);
+  ASSERT_GE(arena.longer, arena.first);
+  EXPECT_LT(arena.longer - arena.first, 4096u)
+      << "the arena grew from " << arena.first << " B to " << arena.longer
+      << " B between sessions of " << kFirstTicks << " and "
+      << 4 * kFirstTicks << " frames";
 }
 
 TEST(NetAllocRegression, WarmedOracleQueryBatchIsHeapFree) {
