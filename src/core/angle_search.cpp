@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include <channel/path_batch.hpp>
 #include <rf/codebook.hpp>
 
 namespace movr::core {
@@ -99,15 +98,6 @@ template class SearchPhase<ReflectionResult>;
 // ---------------------------------------------------------------------
 
 void IncidenceSearch::begin() {
-  // Warm the oracle for the whole sweep in one batched query: every
-  // measurement below re-steers beams, but the endpoint pairs never change,
-  // so the full (theta1, theta2) scan runs on cache hits.
-  channel::EndpointBatch prefetch;
-  prefetch.reserve(2);
-  prefetch.push(scene_.ap().node().position(), reflector_.position());
-  prefetch.push(reflector_.position(), scene_.ap().node().position());
-  scene_.prefetch_paths(prefetch);
-
   // Arm the reflector: conservative gain, modulation on.
   send_gain_code(config_.search_gain_code);
   send_command({"modulate", 1.0, 0});
@@ -155,17 +145,6 @@ void IncidenceSearch::close() {
 // ---------------------------------------------------------------------
 
 void ReflectionSearch::begin() {
-  // One batched warm-up for the three endpoint pairs the per-angle SNR
-  // reads will ask about (AP->reflector, reflector->headset, AP->headset).
-  channel::EndpointBatch prefetch;
-  prefetch.reserve(3);
-  const geom::Vec2 ap = scene_.ap().node().position();
-  const geom::Vec2 headset = scene_.headset().node().position();
-  prefetch.push(ap, reflector_.position());
-  prefetch.push(reflector_.position(), headset);
-  prefetch.push(ap, headset);
-  scene_.prefetch_paths(prefetch);
-
   // Arm a conservative, always-stable gain so the relayed signal is audible
   // at the headset for every candidate angle; the gain controller
   // re-optimises once the beam is locked.

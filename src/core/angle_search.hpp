@@ -87,8 +87,8 @@ struct ReflectionResult {
 /// codebook entry is measured the phase sends its closing commands, and the
 /// search concludes one command wait later. Whichever way it ends, the
 /// callback fires exactly once. A phase supplies the rest: begin() (its
-/// oracle prefetch and arming commands), measure() (one codebook entry,
-/// which ends by calling step(index + 1)) and close().
+/// arming commands), measure() (one codebook entry, which ends by calling
+/// step(index + 1)) and close().
 template <class Result>
 class SearchPhase {
  public:

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include <channel/path_batch.hpp>
 #include <core/parallel_for.hpp>
 
 namespace movr::core {
@@ -108,24 +107,6 @@ CoverageMap compute_coverage(const Scene& scene, double resolution_m,
   parallel_for(total, threads, [&](std::size_t begin, std::size_t end) {
     // Each worker steers its own clone; cells are disjoint vector slots.
     Scene local = scene.clone();
-    // Batch-prefetch every endpoint pair this chunk will ask about — the
-    // AP->cell direct legs and each reflector->cell second hops — so the
-    // per-cell evaluation below runs entirely on warm cache hits.
-    // (Constant pairs like AP->reflector are left to miss once per worker
-    // during evaluation, exactly as before — keeping the aggregate query
-    // count identical for every thread count.)
-    channel::EndpointBatch prefetch;
-    const std::size_t nreflectors = local.reflector_count();
-    prefetch.reserve((end - begin) * (1 + nreflectors));
-    const geom::Vec2 ap_pos = local.ap().node().position();
-    for (std::size_t i = begin; i < end; ++i) {
-      const geom::Vec2 pos = cell_position(i);
-      prefetch.push(ap_pos, pos);
-      for (std::size_t r = 0; r < nreflectors; ++r) {
-        prefetch.push(local.reflector(r).position(), pos);
-      }
-    }
-    local.prefetch_paths(prefetch);
     for (std::size_t i = begin; i < end; ++i) {
       map.cells[i] = evaluate_cell(local, cell_position(i));
     }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include <channel/path_batch.hpp>
 #include <core/parallel_for.hpp>
 #include <geom/angle.hpp>
 #include <sim/rng.hpp>
@@ -116,12 +115,9 @@ PlacementPlan PlacementPlanner::plan(const channel::Room& room,
                                  0.0}};
         std::vector<MovrReflector> reflectors;
         reflectors.reserve(mounts.size());
-        channel::EndpointBatch batch;  // capacity kept across trials
         for (const PlacementCandidate& mount : mounts) {
           reflectors.emplace_back(mount.position, mount.orientation);
-          batch.push(ap_position, mount.position);
         }
-        clear.prefetch_paths(batch);
 
         for (std::size_t trial = begin; trial < end; ++trial) {
           std::mt19937_64 rng = rngs.stream("placement-trial", trial);
@@ -131,17 +127,8 @@ PlacementPlan PlacementPlanner::plan(const channel::Room& room,
           const channel::Obstacle blocker =
               draw_blockage(pos, ap_position, rng);
 
-          // The obstacle empties the blocked clone's cache; one batched
-          // solve fills it for every SNR read of the trial.
           Scene blocked = clear.clone();
           blocked.room().add_obstacle(blocker);
-          batch.clear();
-          batch.push(ap_position, pos);
-          for (const MovrReflector& r : reflectors) {
-            batch.push(ap_position, r.position());
-            batch.push(r.position(), pos);
-          }
-          blocked.prefetch_paths(batch);
 
           double* row = &snr[trial * columns];
           blocked.aim_direct();

@@ -64,11 +64,6 @@ ChannelOracle::PathsView Scene::paths_view(geom::Vec2 a, geom::Vec2 b) const {
   return oracle().paths_view(a, b);
 }
 
-void Scene::prefetch_paths(const channel::EndpointBatch& batch) const {
-  oracle().query_batch(batch, prefetch_scratch_);
-  prefetch_scratch_.clear();  // drop the references, keep capacity
-}
-
 rf::DbmPower Scene::direct_power() const {
   const phy::RadioNode& ap = ap_.node();
   const phy::RadioNode& headset = headset_.node();

@@ -73,12 +73,6 @@ class Scene {
   /// immediately.
   ChannelOracle::PathsView paths_view(geom::Vec2 a, geom::Vec2 b) const;
 
-  /// Warms the oracle for a whole sweep of endpoint pairs in one batched
-  /// query (single lock acquisition, one batched solve for the misses).
-  /// Callers that are about to evaluate a grid row or a codebook sweep
-  /// prefetch first, then every per-cell physics query is a warm hit.
-  void prefetch_paths(const channel::EndpointBatch& batch) const;
-
   /// The oracle serving paths_view, bound to this scene's room for the
   /// scene's life. Exposes the precomputed PathSolver and the
   /// query/hit/invalidation counters.
@@ -163,10 +157,6 @@ class Scene {
   HeadsetRadio headset_;
   Config config_;
   std::vector<std::unique_ptr<MovrReflector>> reflectors_;
-  /// Scratch for prefetch_paths. A Scene is single-threaded by contract
-  /// (parallel evaluators clone one per worker); the oracle underneath is
-  /// the synchronized layer.
-  mutable std::vector<ChannelOracle::PathsView> prefetch_scratch_;
   /// direct_power's memo (the reflector hops' live in MovrReflector).
   mutable HopMemo direct_memo_;
 };

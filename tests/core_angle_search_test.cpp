@@ -60,6 +60,8 @@ TEST(IncidenceSearch, SweepsFullGrid) {
   EXPECT_EQ(result.measurements, 21 * 21);
   // 2 arm + 21 per-angle + 3 finish commands.
   EXPECT_EQ(result.bt_commands, 2 + 21 + 3);
+  // Every backscatter read is one paths_view call.
+  EXPECT_EQ(f.scene.oracle_stats().batch_queries, 0u);
 }
 
 TEST(IncidenceSearch, DurationDominatedByBluetooth) {
@@ -147,6 +149,8 @@ TEST(ReflectionSearch, CountsWork) {
   EXPECT_EQ(result.measurements, 21);
   // 1 arm-gain + 21 sweeps + 1 final set + 1 restore-gain.
   EXPECT_EQ(result.bt_commands, 24);
+  // Every SNR read is one paths_view call.
+  EXPECT_EQ(f.scene.oracle_stats().batch_queries, 0u);
 }
 
 TEST(SearchConfig, DefaultsMatchPaperSector) {

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include <channel/path_batch.hpp>
 #include <core/coverage.hpp>
 #include <core/gain_control.hpp>
 #include <core/placement.hpp>
@@ -123,6 +122,10 @@ TEST(ParallelCoverage, ReportsAggregatedOracleCounters) {
   // The AP->reflector hop is the same for every cell a worker evaluates:
   // the oracle must be earning real hits on the grid workload.
   EXPECT_GT(map.oracle.hit_rate(), 0.2);
+  // Every read is one paths_view call that solves its own miss: nothing
+  // goes through the batched query or grows its scratch.
+  EXPECT_EQ(map.oracle.batch_queries, 0u);
+  EXPECT_EQ(map.oracle.arena_bytes, 0u);
 }
 
 TEST(ParallelPlacement, PlanIdenticalForEveryThreadCount) {
@@ -168,10 +171,6 @@ double reference_outage(const PlacementPlanner::Config& config,
       static_cast<std::size_t>(config.trials), config.threads,
       [&](std::size_t begin, std::size_t end) {
         int local_outages = 0;
-        // Prefetch batches, reused (capacity kept) across this worker's
-        // trials.
-        channel::EndpointBatch calibration_batch;
-        channel::EndpointBatch read_batch;
         for (std::size_t trial = begin; trial < end; ++trial) {
           std::mt19937_64 rng = rngs.stream("placement-trial", trial);
           Scene scene{channel::Room{room}, ApRadio{ap_position, 0.0},
@@ -205,14 +204,6 @@ double reference_outage(const PlacementPlanner::Config& config,
                       std::uniform_real_distribution<double>{0.6, 2.0}(rng));
           }
 
-          // One batched solve covers every calibration read below: the
-          // gain controller re-reads reflector_input per step, but the
-          // AP->reflector pairs are fixed until the obstacle lands.
-          calibration_batch.clear();
-          for (const auto* r : reflectors) {
-            calibration_batch.push(ap_position, r->position());
-          }
-          scene.prefetch_paths(calibration_batch);
           for (auto* r : reflectors) {
             r->front_end().steer_rx(scene.true_reflector_angle_to_ap(*r));
             r->front_end().steer_tx(
@@ -224,16 +215,6 @@ double reference_outage(const PlacementPlanner::Config& config,
           }
 
           scene.room().add_obstacle(blocker);
-
-          // The obstacle bumped the room revision and emptied the cache;
-          // one batched solve repopulates it for every SNR read below.
-          read_batch.clear();
-          read_batch.push(ap, pos);
-          for (const auto* r : reflectors) {
-            read_batch.push(ap, r->position());
-            read_batch.push(r->position(), pos);
-          }
-          scene.prefetch_paths(read_batch);
 
           scene.ap().node().steer_toward(pos);
           scene.headset().node().face_toward(ap);
