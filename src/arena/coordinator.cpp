@@ -266,7 +266,7 @@ void Coordinator::control_tick() {
   recompute_shares();
   // Lease/quarantine snapshots land after enforcement, so a verifier
   // replaying them sees the state the failover machinery actually left.
-  snapshot_leases(now);
+  snapshot_leases();
   if (config_.recorder != nullptr) {
     config_.recorder->record(
         log::EventKind::kCoordTick,
@@ -470,8 +470,7 @@ void Coordinator::orphan_watchdog(sim::TimePoint now) {
   }
 }
 
-void Coordinator::snapshot_leases(sim::TimePoint now) {
-  (void)now;
+void Coordinator::snapshot_leases() {
   if (config_.recorder == nullptr) {
     return;
   }

@@ -242,7 +242,7 @@ class Coordinator {
   void device_probe_tick(sim::TimePoint now);
   /// Reap arbiter-side holders whose manager no longer holds the lease.
   void orphan_watchdog(sim::TimePoint now);
-  void snapshot_leases(sim::TimePoint now);
+  void snapshot_leases();
   void record_arena_fault(log::EventKind kind, const ArenaFault& fault);
 
   sim::Simulator& simulator_;

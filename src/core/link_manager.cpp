@@ -181,10 +181,9 @@ rf::Decibels LinkManager::current_true_snr() {
   const double current = reflector.front_end().tx_array().steering();
   if (reachable(active_reflector_) &&
       geom::angular_distance(tracked, current) > config_.retarget_threshold) {
-    const auto retarget =
-        BeamTracker::retarget(scene_, reflector, rng_, config_.tracker);
+    // Applies the steering; its cost is one BT exchange in flight.
+    BeamTracker::retarget(scene_, reflector, rng_, config_.tracker);
     ++stats_.retargets;
-    (void)retarget;  // steering applied; cost is one BT exchange in flight
   }
   return scene_.via_snr(reflector).snr;
 }

@@ -51,8 +51,7 @@ Arq::FrameCtl& Arq::touch(std::uint64_t frame_id) {
   return frames_.back();
 }
 
-void Arq::start(const Packet& packet, bool is_retransmit) {
-  (void)packet;
+void Arq::start(bool is_retransmit) {
   ++outstanding_;
   ++counters_.transmissions;
   if (is_retransmit) {
@@ -93,8 +92,7 @@ Arq::Verdict Arq::resolve(const Packet& packet, bool data_lost,
   return Verdict::kAcked;
 }
 
-void Arq::forgo(const Packet& packet) {
-  (void)packet;
+void Arq::forgo() {
   --outstanding_;
   ++counters_.forgone;
 }

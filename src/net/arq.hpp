@@ -61,7 +61,7 @@ class Arq {
   int outstanding() const { return outstanding_; }
 
   /// Records a transmission entering the air.
-  void start(const Packet& packet, bool is_retransmit);
+  void start(bool is_retransmit);
 
   /// Resolves one outstanding transmission. `data_lost`: the MPDU did not
   /// reach the receiver. `ack_lost`: it did, but the ack did not make it
@@ -70,7 +70,7 @@ class Arq {
 
   /// Resolves one outstanding transmission as lost-and-written-off: no
   /// retransmission, no budget charge. Used for expendable MPDUs (parity).
-  void forgo(const Packet& packet);
+  void forgo();
 
   /// External abandonment (e.g. the queue shed the frame as stale): no
   /// further retransmissions will be granted for it.

@@ -122,9 +122,7 @@ JitterBuffer::Arrival JitterBuffer::on_packet(const Packet& packet,
   return arrival;
 }
 
-JitterBuffer::Deadline JitterBuffer::on_deadline(std::uint64_t frame_id,
-                                                 sim::TimePoint now) {
-  (void)now;
+JitterBuffer::Deadline JitterBuffer::on_deadline(std::uint64_t frame_id) {
   // A frame none of whose packets ever arrived claims an empty state here,
   // exactly like the old map's operator[] — it resolves as a miss.
   FrameState& frame = claim(frame_id);

@@ -63,7 +63,7 @@ class JitterBuffer {
   /// Resolves `frame_id` at its display deadline. Must be called in frame
   /// order (deadlines are monotone in id); an out-of-order release attempt
   /// throws std::logic_error — it would reorder the display stream.
-  Deadline on_deadline(std::uint64_t frame_id, sim::TimePoint now);
+  Deadline on_deadline(std::uint64_t frame_id);
 
   bool is_complete(std::uint64_t frame_id) const;
 

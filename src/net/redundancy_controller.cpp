@@ -81,8 +81,7 @@ FecParams RedundancyController::plan(bool keyframe) {
   return FecParams{k, depth};
 }
 
-int RedundancyController::retx_budget(bool keyframe) const {
-  (void)keyframe;
+int RedundancyController::retx_budget() const {
   // The FEC-for-ARQ budget trade only pays in the light-loss regime, where
   // parity really does absorb the common single losses. Near heavy loss —
   // or while the stress signal is up — holes outnumber parity and every

@@ -89,8 +89,8 @@ class RedundancyController {
   /// Protection for the next frame of the given class.
   FecParams plan(bool keyframe);
 
-  /// ARQ retransmit budget for the next frame of the given class.
-  int retx_budget(bool keyframe) const;
+  /// ARQ retransmit budget for the next frame, of either class.
+  int retx_budget() const;
 
   bool active() const { return active_; }
   bool stressed() const { return stress_hold_ > 0; }

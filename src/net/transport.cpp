@@ -97,7 +97,7 @@ void Transport::on_frame(ChannelState channel) {
   if (config_.adaptive_fec) {
     controller_.on_tick(channel_.stressed, channel_.predicted_stress);
     fec = controller_.plan(frame.keyframe);
-    arq_.set_frame_budget(frame.id, controller_.retx_budget(frame.keyframe));
+    arq_.set_frame_budget(frame.id, controller_.retx_budget());
   }
   fec_.protect(packet_scratch_, fec);
 
@@ -153,7 +153,7 @@ void Transport::pump() {
   if (counted) {
     ++unacked_undelivered_;
   }
-  arq_.start(packet, is_retransmit);
+  arq_.start(is_retransmit);
   air_busy_ = true;
   const double loss = channel_.loss();
   // Speculation is armed per transmission, at send time: only data MPDUs
@@ -306,7 +306,7 @@ void Transport::on_ack(const Packet& packet, bool data_lost, bool ack_lost,
       --unacked_undelivered_;
       ++parity_loss_drops_;
     }
-    arq_.forgo(packet);
+    arq_.forgo();
     pump();
     return;
   }
@@ -395,8 +395,7 @@ void Transport::on_frame_completed(std::uint64_t frame_id) {
 }
 
 void Transport::on_display_deadline(std::uint64_t frame_id) {
-  const JitterBuffer::Deadline verdict =
-      jitter_.on_deadline(frame_id, simulator_.now());
+  const JitterBuffer::Deadline verdict = jitter_.on_deadline(frame_id);
   FrameOutcome& outcome = outcomes_[frame_id];
   if (verdict == JitterBuffer::Deadline::kReleasedOnTime) {
     outcome.kind = FrameOutcome::Kind::kOnTime;
@@ -427,8 +426,7 @@ std::uint64_t Transport::packets_in_flight() const {
   return queue_.depth_packets() + retx_undelivered_ + unacked_undelivered_;
 }
 
-void Transport::finalize(sim::TimePoint end) {
-  (void)end;
+void Transport::finalize() {
   metrics_ = TransportMetrics{};
   metrics_.frames_emitted = outcomes_.size();
 

@@ -131,9 +131,10 @@ class Transport {
   /// `channel`, then keep the air busy. Call once per frame interval.
   void on_frame(ChannelState channel);
 
-  /// Settles frames whose deadline lies beyond the session end and builds
-  /// the metrics. Call once after the simulator stops.
-  void finalize(sim::TimePoint end);
+  /// Settles every frame still pending (on time when the jitter buffer
+  /// completed it, unresolved otherwise) and builds the metrics. Call once
+  /// after the simulator stops.
+  void finalize();
 
   /// Valid after finalize().
   const TransportMetrics& metrics() const { return metrics_; }
@@ -163,16 +164,6 @@ class Transport {
   /// Frames emitted so far (mid-run counterpart of metrics().frames_emitted).
   std::uint64_t live_frames_emitted() const { return outcomes_.size(); }
 
-  /// enqueued == delivered + dropped + recovered-as-delivered +
-  /// speculative-dup + in-flight, at any instant (fuzzed every tick by the
-  /// property tests and benches).
-  bool ledger_closes() const {
-    return packets_enqueued() == packets_delivered() + packets_dropped() +
-                                     packets_recovered_delivered() +
-                                     packets_speculative_dup() +
-                                     packets_in_flight();
-  }
-
   /// One consistent read of the live six-term ledger — what the session
   /// event log snapshots every 20 ms.
   struct LedgerSnapshot {
@@ -182,6 +173,8 @@ class Transport {
     std::uint64_t recovered{0};
     std::uint64_t speculative_dup{0};
     std::uint64_t in_flight{0};
+    /// enqueued == delivered + dropped + recovered-as-delivered +
+    /// speculative-dup + in-flight.
     bool closes() const {
       return enqueued ==
              delivered + dropped + recovered + speculative_dup + in_flight;
@@ -195,6 +188,9 @@ class Transport {
             packets_speculative_dup(),
             packets_in_flight()};
   }
+  /// The live ledger closes, at any instant (fuzzed every tick by the
+  /// property tests and benches).
+  bool ledger_closes() const { return ledger_snapshot().closes(); }
 
   const TxQueue& queue() const { return queue_; }
   const Arq& arq() const { return arq_; }

@@ -284,7 +284,7 @@ void Session::snapshot_tick() {
 
 QoeReport Session::finish() {
   if (transport_ != nullptr) {
-    transport_->finalize(start_ + config_.duration);
+    transport_->finalize();
     account_transport_outcomes();
     report_.transport = transport_->metrics();
     if (config_.recorder != nullptr) {

@@ -128,7 +128,7 @@ TEST(NetAllocRegression, SteadyStateTransportTickIsHeapFree) {
   run_session(simulator, transport, sim::TimePoint{});
   simulator.run();
   ASSERT_EQ(simulator.pending_events(), 0u);
-  transport.finalize(simulator.now());
+  transport.finalize();
   ASSERT_TRUE(transport.metrics().conserved());
   const std::size_t warmed_arena = transport.arena_bytes();
   transport.reset();
@@ -145,7 +145,7 @@ TEST(NetAllocRegression, SteadyStateTransportTickIsHeapFree) {
 
   // The replay fits the warmed arena exactly — no pool grew.
   simulator.run();
-  transport.finalize(simulator.now());
+  transport.finalize();
   EXPECT_TRUE(transport.metrics().conserved());
   EXPECT_EQ(transport.arena_bytes(), warmed_arena)
       << "replayed session grew a pool that session 1 should have warmed";
@@ -166,7 +166,7 @@ ArenaGrowth arena_growth(int ticks) {
     transport.reset();  // keeps every capacity
     run_session(simulator, transport, simulator.now(), session_ticks);
     simulator.run();
-    transport.finalize(simulator.now());
+    transport.finalize();
     EXPECT_TRUE(transport.metrics().conserved());
     EXPECT_EQ(transport.metrics().arena_high_water_bytes,
               transport.arena_bytes());

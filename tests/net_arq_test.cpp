@@ -19,9 +19,9 @@ TEST(Arq, WindowGatesOutstandingTransmissions) {
   config.window = 2;
   Arq arq{config};
   EXPECT_TRUE(arq.can_send());
-  arq.start(make_packet(0, 0), false);
+  arq.start(false);
   EXPECT_TRUE(arq.can_send());
-  arq.start(make_packet(0, 1), false);
+  arq.start(false);
   EXPECT_FALSE(arq.can_send());
   EXPECT_EQ(arq.resolve(make_packet(0, 0), false, false),
             Arq::Verdict::kAcked);
@@ -35,10 +35,10 @@ TEST(Arq, DataLossRetransmitsUntilBudgetThenAbandons) {
   Arq arq{config};
   const Packet p = make_packet(7);
   for (int i = 0; i < 3; ++i) {
-    arq.start(p, i > 0);
+    arq.start(i > 0);
     EXPECT_EQ(arq.resolve(p, true, false), Arq::Verdict::kRetransmit);
   }
-  arq.start(p, true);
+  arq.start(true);
   EXPECT_EQ(arq.resolve(p, true, false), Arq::Verdict::kAbandonFrame);
   EXPECT_TRUE(arq.is_abandoned(7));
   EXPECT_EQ(arq.counters().retransmits, 3u);
@@ -50,17 +50,17 @@ TEST(Arq, AbandonedFrameDeniesFurtherRetransmits) {
   Arq arq;
   arq.abandon_frame(9);
   const Packet p = make_packet(9);
-  arq.start(p, false);
+  arq.start(false);
   EXPECT_EQ(arq.resolve(p, true, false), Arq::Verdict::kAbandonFrame);
   // A delivered-but-unacked straggler of the abandoned frame is done.
-  arq.start(p, false);
+  arq.start(false);
   EXPECT_EQ(arq.resolve(p, false, true), Arq::Verdict::kAcked);
 }
 
 TEST(Arq, LostAckRetransmitsTheDuplicate) {
   Arq arq;
   const Packet p = make_packet(3);
-  arq.start(p, false);
+  arq.start(false);
   EXPECT_EQ(arq.resolve(p, false, true), Arq::Verdict::kRetransmit);
   EXPECT_EQ(arq.counters().ack_losses, 1u);
 }
@@ -70,9 +70,9 @@ TEST(Arq, BudgetExhaustedLostAckCountsAsAcked) {
   config.max_retx_per_frame = 1;
   Arq arq{config};
   const Packet p = make_packet(4);
-  arq.start(p, false);
+  arq.start(false);
   EXPECT_EQ(arq.resolve(p, true, false), Arq::Verdict::kRetransmit);
-  arq.start(p, true);
+  arq.start(true);
   // The retransmitted copy makes it, only the ack dies: the receiver has
   // the data, no reason to kill the frame.
   EXPECT_EQ(arq.resolve(p, false, true), Arq::Verdict::kAcked);
@@ -85,11 +85,11 @@ TEST(Arq, BudgetIsPerFrame) {
   Arq arq{config};
   const Packet a = make_packet(1);
   const Packet b = make_packet(2);
-  arq.start(a, false);
+  arq.start(false);
   EXPECT_EQ(arq.resolve(a, true, false), Arq::Verdict::kRetransmit);
-  arq.start(b, false);
+  arq.start(false);
   EXPECT_EQ(arq.resolve(b, true, false), Arq::Verdict::kRetransmit);
-  arq.start(a, true);
+  arq.start(true);
   EXPECT_EQ(arq.resolve(a, true, false), Arq::Verdict::kAbandonFrame);
   EXPECT_FALSE(arq.is_abandoned(2));
 }
@@ -99,10 +99,10 @@ TEST(Arq, ForgetFrameResetsBudget) {
   config.max_retx_per_frame = 1;
   Arq arq{config};
   const Packet p = make_packet(5);
-  arq.start(p, false);
+  arq.start(false);
   EXPECT_EQ(arq.resolve(p, true, false), Arq::Verdict::kRetransmit);
   arq.forget_frame(5);
-  arq.start(p, true);
+  arq.start(true);
   EXPECT_EQ(arq.resolve(p, true, false), Arq::Verdict::kRetransmit);
 }
 

@@ -31,7 +31,7 @@ TEST(JitterBuffer, AssemblesOutOfOrderAndReleasesOnTime) {
   ASSERT_TRUE(buffer.completion_latency(0).has_value());
   EXPECT_EQ(*buffer.completion_latency(0), sim::Duration{3ms});
 
-  EXPECT_EQ(buffer.on_deadline(0, t0 + 10ms),
+  EXPECT_EQ(buffer.on_deadline(0),
             JitterBuffer::Deadline::kReleasedOnTime);
   EXPECT_EQ(buffer.counters().released_on_time, 1u);
   EXPECT_EQ(buffer.release_log(), (std::vector<std::uint64_t>{0}));
@@ -55,7 +55,7 @@ TEST(JitterBuffer, IncompleteFrameMissesItsDeadline) {
   JitterBuffer buffer;
   const auto t0 = sim::from_seconds(1.0);
   buffer.on_packet(make_packet(0, 0, 2, t0), t0 + 1ms);
-  EXPECT_EQ(buffer.on_deadline(0, t0 + 10ms), JitterBuffer::Deadline::kMiss);
+  EXPECT_EQ(buffer.on_deadline(0), JitterBuffer::Deadline::kMiss);
   EXPECT_EQ(buffer.counters().deadline_misses, 1u);
   // The straggler arrives afterwards: a late completion, never released.
   buffer.on_packet(make_packet(0, 1, 2, t0), t0 + 15ms);
@@ -69,9 +69,9 @@ TEST(JitterBuffer, DeadlineResolvesExactlyOnce) {
   JitterBuffer buffer;
   const auto t0 = sim::from_seconds(1.0);
   buffer.on_packet(make_packet(0, 0, 1, t0), t0 + 1ms);
-  EXPECT_EQ(buffer.on_deadline(0, t0 + 10ms),
+  EXPECT_EQ(buffer.on_deadline(0),
             JitterBuffer::Deadline::kReleasedOnTime);
-  EXPECT_EQ(buffer.on_deadline(0, t0 + 10ms),
+  EXPECT_EQ(buffer.on_deadline(0),
             JitterBuffer::Deadline::kAlreadyResolved);
   EXPECT_EQ(buffer.counters().released_on_time, 1u);
 }
@@ -81,9 +81,9 @@ TEST(JitterBuffer, OutOfOrderReleaseThrows) {
   const auto t0 = sim::from_seconds(1.0);
   buffer.on_packet(make_packet(2, 0, 1, t0), t0 + 1ms);
   buffer.on_packet(make_packet(1, 0, 1, t0), t0 + 1ms);
-  EXPECT_EQ(buffer.on_deadline(2, t0 + 10ms),
+  EXPECT_EQ(buffer.on_deadline(2),
             JitterBuffer::Deadline::kReleasedOnTime);
-  EXPECT_THROW(buffer.on_deadline(1, t0 + 11ms), std::logic_error);
+  EXPECT_THROW(buffer.on_deadline(1), std::logic_error);
 }
 
 // --- FEC recovery -----------------------------------------------------
@@ -177,7 +177,7 @@ TEST(JitterBuffer, ResetClearsStateAndReleaseWatermark) {
   JitterBuffer buffer;
   const auto t0 = sim::from_seconds(1.0);
   buffer.on_packet(make_packet(5, 0, 1, t0), t0 + 1ms);
-  EXPECT_EQ(buffer.on_deadline(5, t0 + 10ms),
+  EXPECT_EQ(buffer.on_deadline(5),
             JitterBuffer::Deadline::kReleasedOnTime);
   buffer.reset();
   EXPECT_EQ(buffer.counters().packets_received, 0u);
@@ -185,7 +185,7 @@ TEST(JitterBuffer, ResetClearsStateAndReleaseWatermark) {
   // Frame ids restart below the old watermark without tripping the
   // release-order invariant.
   buffer.on_packet(make_packet(0, 0, 1, t0), t0 + 1ms);
-  EXPECT_EQ(buffer.on_deadline(0, t0 + 10ms),
+  EXPECT_EQ(buffer.on_deadline(0),
             JitterBuffer::Deadline::kReleasedOnTime);
 }
 
@@ -194,7 +194,7 @@ TEST(JitterBuffer, ReleaseLogIsStrictlyIncreasing) {
   const auto t0 = sim::from_seconds(1.0);
   for (std::uint64_t id = 0; id < 20; id += 2) {
     buffer.on_packet(make_packet(id, 0, 1, t0 + id * 11ms), t0 + id * 11ms);
-    EXPECT_EQ(buffer.on_deadline(id, t0 + id * 11ms + 10ms),
+    EXPECT_EQ(buffer.on_deadline(id),
               JitterBuffer::Deadline::kReleasedOnTime);
   }
   const auto& log = buffer.release_log();

@@ -25,7 +25,7 @@ TEST(RedundancyController, StaysOffOnCleanChannel) {
   rc.on_tick(false);
   EXPECT_FALSE(rc.plan(false).enabled());
   EXPECT_FALSE(rc.active());
-  EXPECT_EQ(rc.retx_budget(false), rc.config().retx_budget_unprotected);
+  EXPECT_EQ(rc.retx_budget(), rc.config().retx_budget_unprotected);
 }
 
 TEST(RedundancyController, EnablesAboveThresholdAndHoldsThroughTheBand) {
@@ -38,7 +38,7 @@ TEST(RedundancyController, EnablesAboveThresholdAndHoldsThroughTheBand) {
   EXPECT_EQ(rc.counters().enables, 1u);
   // At ~50% loss parity cannot cover every hole, so the FEC-for-ARQ budget
   // trade is suspended: the full retransmit budget stays in force.
-  EXPECT_EQ(rc.retx_budget(false), rc.config().retx_budget_unprotected);
+  EXPECT_EQ(rc.retx_budget(), rc.config().retx_budget_unprotected);
 
   // Decay into the hysteresis band (between disable_loss and enable_loss):
   // protection must hold — no thrash — and with loss now light, parity
@@ -50,7 +50,7 @@ TEST(RedundancyController, EnablesAboveThresholdAndHoldsThroughTheBand) {
   rc.on_tick(false);
   EXPECT_TRUE(rc.plan(false).enabled());
   EXPECT_EQ(rc.counters().disables, 0u);
-  EXPECT_EQ(rc.retx_budget(false), rc.config().retx_budget_protected);
+  EXPECT_EQ(rc.retx_budget(), rc.config().retx_budget_protected);
 
   // Decay below disable_loss: now it turns off.
   while (rc.loss_estimate() >= rc.config().disable_loss) {

@@ -133,7 +133,7 @@ TransportMetrics run_fuzz(std::uint64_t seed, int ticks, FuzzOptions opts) {
   }
   const sim::TimePoint end = interval * ticks;
   simulator.run_until(end);
-  transport.finalize(end);
+  transport.finalize();
 
   const TransportMetrics& metrics = transport.metrics();
   EXPECT_TRUE(metrics.conserved()) << "seed " << seed;
@@ -291,7 +291,7 @@ TEST(TransportProperty, CleanChannelDeliversEverythingOnTime) {
     transport.on_frame(channel);
   }
   simulator.run_until(interval * ticks);
-  transport.finalize(interval * ticks);
+  transport.finalize();
   const TransportMetrics& metrics = transport.metrics();
   EXPECT_EQ(metrics.frames_emitted, static_cast<std::uint64_t>(ticks));
   EXPECT_EQ(metrics.frames_on_time, metrics.frames_emitted);
@@ -317,7 +317,7 @@ TEST(TransportProperty, TotalLossDropsOrStrandsEverything) {
     transport.on_frame(channel);
   }
   simulator.run_until(interval * ticks);
-  transport.finalize(interval * ticks);
+  transport.finalize();
   const TransportMetrics& metrics = transport.metrics();
   EXPECT_EQ(metrics.frames_on_time, 0u);
   EXPECT_EQ(metrics.packets_delivered, 0u);
@@ -372,7 +372,7 @@ void drive_session(Transport& transport, sim::Simulator& simulator,
     transport.on_frame(channel);
   }
   simulator.run_until(start + interval * ticks);
-  transport.finalize(start + interval * ticks);
+  transport.finalize();
 }
 
 TEST(TransportProperty, ResetGivesBitIdenticalBackToBackSessions) {
@@ -485,7 +485,7 @@ TEST(TransportProperty, JitterBufferFuzzUnderReorderDuplicationBurstLoss) {
       if (fresh_data + recovered == n) {
         EXPECT_TRUE(buffer.is_complete(frame_id)) << "seed " << seed;
       }
-      buffer.on_deadline(frame_id, t0 + frame_id * 11ms + 10ms);
+      buffer.on_deadline(frame_id);
     }
 
     // Global accounting: every unique arrival counted once; the release
